@@ -11,13 +11,15 @@ response path.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .canonical import canonicalize
 
@@ -39,6 +41,9 @@ DEFAULT_BLOCK_INTERVAL = 2.0
 DEFAULT_MAX_BLOCK_ENTRIES = 128
 
 _TXID_RE = re.compile(r"^[0-9a-f]{64}$")
+# A crash mid-append leaves the start of a record as a journal's last line.
+_BLOCK_PREFIX = b'{"block_hash":"'
+_TORN_TXID_RE = re.compile(rb"[0-9a-f]{0,64}")
 
 
 class AnchorError(RuntimeError):
@@ -55,14 +60,7 @@ class AnchorRecord:
     gas_used: Optional[int] = None
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "txid": self.txid,
-            "status": self.status,
-            "block_number": self.block_number,
-            "tx_hash": self.tx_hash,
-            "sender": self.sender,
-            "gas_used": self.gas_used,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -102,13 +100,8 @@ class Verdict:
     detail: str = ""
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "verdict": self.kind,
-            "block_number": self.block_number,
-            "tx_hash": self.tx_hash,
-            "sender": self.sender,
-            "detail": self.detail,
-        }
+        fields = asdict(self)
+        return {"verdict": fields.pop("kind"), **fields}
 
 
 def validate_txid(txid: str) -> str:
@@ -138,6 +131,10 @@ def block_content_hash(
     return hashlib.sha256(canonicalize(content)).hexdigest()
 
 
+def _is_torn_block(tail: bytes) -> bool:
+    return _BLOCK_PREFIX.startswith(tail[: len(_BLOCK_PREFIX)])
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(data)
@@ -150,6 +147,9 @@ class SimulatedLedger:
     Producers call :meth:`submit` concurrently; one consumer seals pending
     entries into blocks. Reads see only sealed blocks, so verification is
     safe while sealing runs.
+
+    Both files are line journals, so no call's cost grows with history: a seal
+    appends one block line, then rewrites the pending txid lines still queued.
     """
 
     def __init__(
@@ -173,8 +173,10 @@ class SimulatedLedger:
         self.max_block_entries = max_block_entries
         self._clock = clock or (lambda: time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()))
         self._lock = threading.Lock()
+        self._cut_to: Dict[Path, int] = {}
         self._blocks: List[LedgerBlock] = []
-        self._pending: List[str] = []
+        # Insertion-ordered set: FIFO for sealing, O(1) membership.
+        self._pending: Dict[str, None] = {}
         self._anchored: Dict[str, Tuple[int, str, str]] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -183,44 +185,55 @@ class SimulatedLedger:
             self._thread = threading.Thread(target=self._seal_loop, daemon=True)
             self._thread.start()
 
-    def _load(self) -> None:
-        if self.ledger_path.exists():
-            try:
-                raw = json.loads(self.ledger_path.read_text(encoding="utf-8"))
-                for stored in raw["blocks"]:
-                    entries = tuple(
-                        BlockEntry(e["txid"], e["sender"], e["tx_hash"]) for e in stored["entries"]
-                    )
-                    block = LedgerBlock(
-                        block_number=int(stored["block_number"]),
-                        timestamp=str(stored["timestamp"]),
-                        entries=entries,
-                        previous_block_hash=str(stored["previous_block_hash"]),
-                        block_hash=str(stored["block_hash"]),
-                    )
-                    self._blocks.append(block)
-                    for entry in entries:
-                        self._anchored[entry.txid] = (
-                            block.block_number,
-                            entry.tx_hash,
-                            entry.sender,
-                        )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise AnchorError(f"corrupt ledger file {self.ledger_path}: {exc}") from exc
-        if self.pending_path.exists():
-            try:
-                self._pending = list(json.loads(self.pending_path.read_text(encoding="utf-8"))["pending"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise AnchorError(f"corrupt pending file {self.pending_path}: {exc}") from exc
+    def _lines(self, path: Path, torn_ok: Callable[[bytes], object]) -> Iterator[bytes]:
+        """Stream a journal's complete lines.
 
-    def _persist(self) -> None:
-        self.ledger_path.parent.mkdir(parents=True, exist_ok=True)
-        self.pending_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self.ledger_path,
-            canonicalize({"blocks": [block.as_dict() for block in self._blocks]}),
-        )
-        _atomic_write(self.pending_path, canonicalize({"pending": list(self._pending)}))
+        A last line without its newline is a crash mid-append: it is skipped if
+        ``torn_ok`` accepts it as a record's start, and :meth:`_append` cuts it off.
+        """
+        if not path.exists():
+            return
+        size = 0
+        with path.open("rb") as handle:
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    if not torn_ok(line):
+                        raise ValueError(f"incomplete last line is not a record prefix: {line[:40]!r}")
+                    self._cut_to[path] = size
+                    return
+                size += len(line)
+                yield line[:-1]
+
+    def _append(self, path: Path, data: bytes) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("ab") as handle:
+            size = handle.seek(0, io.SEEK_END)
+            end = self._cut_to.setdefault(path, size)  # so a failed write is cut off next time
+            if end < size:
+                handle.truncate(end)
+            handle.write(data)
+        del self._cut_to[path]
+
+    def _load(self) -> None:
+        try:
+            for line in self._lines(self.ledger_path, _is_torn_block):
+                stored = json.loads(line)
+                entries = tuple(BlockEntry(e["txid"], e["sender"], e["tx_hash"]) for e in stored["entries"])
+                number, timestamp = int(stored["block_number"]), str(stored["timestamp"])
+                previous, block_hash = str(stored["previous_block_hash"]), str(stored["block_hash"])
+                block = LedgerBlock(number, timestamp, entries, previous, block_hash)
+                self._blocks.append(block)
+                for entry in block.entries:
+                    self._anchored[entry.txid] = (block.block_number, entry.tx_hash, entry.sender)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise AnchorError(f"corrupt ledger file {self.ledger_path}: {exc}") from exc
+        try:
+            for line in self._lines(self.pending_path, _TORN_TXID_RE.fullmatch):
+                txid = validate_txid(line.decode("ascii"))
+                if txid not in self._anchored:
+                    self._pending[txid] = None
+        except ValueError as exc:
+            raise AnchorError(f"corrupt pending file {self.pending_path}: {exc}") from exc
 
     def submit(self, txid: str) -> AnchorRecord:
         """Queue a txid for anchoring; returns immediately with the current status."""
@@ -229,8 +242,8 @@ class SimulatedLedger:
             if txid in self._anchored:
                 return self._record_locked(txid)
             if txid not in self._pending:
-                self._pending.append(txid)
-                self._persist()
+                self._append(self.pending_path, txid.encode("ascii") + b"\n")
+                self._pending[txid] = None
             return AnchorRecord(txid=txid, status=STATUS_SUBMITTED)
 
     def status(self, txid: str) -> AnchorRecord:
@@ -242,14 +255,7 @@ class SimulatedLedger:
     def _record_locked(self, txid: str) -> AnchorRecord:
         if txid in self._anchored:
             block_number, tx_hash, sender = self._anchored[txid]
-            return AnchorRecord(
-                txid=txid,
-                status=STATUS_ANCHORED,
-                block_number=block_number,
-                tx_hash=tx_hash,
-                sender=sender,
-                gas_used=GAS_PER_ANCHOR,
-            )
+            return AnchorRecord(txid, STATUS_ANCHORED, block_number, tx_hash, sender, GAS_PER_ANCHOR)
         if txid in self._pending:
             return AnchorRecord(txid=txid, status=STATUS_SUBMITTED)
         return AnchorRecord(txid=txid, status=STATUS_DISABLED)
@@ -264,8 +270,7 @@ class SimulatedLedger:
         with self._lock:
             if not self._pending:
                 return None
-            batch = self._pending[: self.max_block_entries]
-            self._pending = self._pending[self.max_block_entries:]
+            batch = list(itertools.islice(self._pending, self.max_block_entries))
             block_number = len(self._blocks)
             previous = self._blocks[-1].block_hash if self._blocks else GENESIS_HASH
             timestamp = self._clock()
@@ -273,17 +278,15 @@ class SimulatedLedger:
                 BlockEntry(txid, self.sender, entry_tx_hash(block_number, txid, self.sender, i))
                 for i, txid in enumerate(batch)
             )
-            block = LedgerBlock(
-                block_number=block_number,
-                timestamp=timestamp,
-                entries=entries,
-                previous_block_hash=previous,
-                block_hash=block_content_hash(block_number, timestamp, entries, previous),
-            )
+            block_hash = block_content_hash(block_number, timestamp, entries, previous)
+            block = LedgerBlock(block_number, timestamp, entries, previous, block_hash)
+            self._append(self.ledger_path, canonicalize(block.as_dict()) + b"\n")
             self._blocks.append(block)
             for entry in entries:
                 self._anchored[entry.txid] = (block_number, entry.tx_hash, entry.sender)
-            self._persist()
+                del self._pending[entry.txid]
+            _atomic_write(self.pending_path, "".join(txid + "\n" for txid in self._pending).encode("ascii"))
+            self._cut_to.pop(self.pending_path, None)
             return block
 
     def _seal_loop(self) -> None:
@@ -315,12 +318,8 @@ class SimulatedLedger:
         """
         previous = GENESIS_HASH
         for block in self.blocks:
-            if block.previous_block_hash != previous:
-                return False, block.block_number
-            recomputed = block_content_hash(
-                block.block_number, block.timestamp, block.entries, block.previous_block_hash
-            )
-            if recomputed != block.block_hash:
+            recomputed = block_content_hash(block.block_number, block.timestamp, block.entries, previous)
+            if block.previous_block_hash != previous or recomputed != block.block_hash:
                 return False, block.block_number
             previous = block.block_hash
         return True, None
@@ -329,7 +328,7 @@ class SimulatedLedger:
         """Stop the sealing thread and drain the queue.
 
         A graceful shutdown anchors everything that was submitted; after a
-        crash the persisted pending file is picked up by the next instance.
+        crash the pending journal is picked up by the next instance.
         """
         self._stop.set()
         if self._thread is not None:

@@ -70,6 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_ledger(config, readonly_ok: bool = True) -> Optional[SimulatedLedger]:
+    """Open the ledger for reading only; callers do not close it.
+
+    ``close()`` seals the pending queue, and blocks appended by a second
+    process behind the owning pipeline's back would fork the chain.
+    """
     try:
         return SimulatedLedger(
             ledger_path=config.anchoring.ledger_path,
@@ -154,20 +159,13 @@ def _cmd_verify(args, config) -> int:
         event_bytes = Path(args.event).read_bytes()
         if event_bytes.endswith(b"\n"):
             event_bytes = event_bytes[:-1]
-    ledger = _open_ledger(config)
-    verdict = verify_anchorage(event_bytes, args.txid, ledger)
-    if ledger is not None:
-        ledger.close()
+    verdict = verify_anchorage(event_bytes, args.txid, _open_ledger(config))
     print(json.dumps(verdict.as_dict(), indent=2))
     return EXIT_OK if verdict.kind == VERDICT_VERIFIED else EXIT_VERIFY
 
 
 def _cmd_anchor_status(args, config) -> int:
-    ledger = _open_ledger(config, readonly_ok=False)
-    try:
-        record = ledger.status(args.txid)
-    finally:
-        ledger.close()
+    record = _open_ledger(config, readonly_ok=False).status(args.txid)
     print(json.dumps(record.as_dict(), indent=2))
     return EXIT_OK
 

@@ -23,10 +23,14 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+# Label values escape backslash, double quote and line feed (text format 0.0.4).
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
 def _format_labels(labels: Mapping[str, str]) -> str:
     # "le" sorts last so histogram bucket lines read naturally.
     keys = sorted(labels, key=lambda k: (k == "le", k))
-    return "{" + ",".join(f'{k}="{labels[k]}"' for k in keys) + "}"
+    return "{" + ",".join(f'{k}="{str(labels[k]).translate(_LABEL_ESCAPES)}"' for k in keys) + "}"
 
 
 class _Metric:

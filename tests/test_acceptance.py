@@ -216,9 +216,11 @@ def test_acceptance_05_tamper_evidence(tmp_path):
             ok, _ = ledger.verify_chain()
             assert ok
         # mutate one sealed entry on disk: re-validation from genesis must fail
-        raw = json.loads((tmp_path / "ledger.json").read_text())
-        raw["blocks"][3]["entries"][7]["txid"] = "f" * 64
-        (tmp_path / "ledger.json").write_text(json.dumps(raw))
+        lines = (tmp_path / "ledger.json").read_bytes().splitlines(keepends=True)
+        block = json.loads(lines[3])
+        block["entries"][7]["txid"] = "f" * 64
+        lines[3] = canonicalize(block) + b"\n"
+        (tmp_path / "ledger.json").write_bytes(b"".join(lines))
         with SimulatedLedger(
             ledger_path=str(tmp_path / "ledger.json"),
             pending_path=str(tmp_path / "pending.json"),

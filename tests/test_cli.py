@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from affectfuse.audit import SimulatedLedger
 from affectfuse.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 
 from conftest import sine_buffer, write_wav
@@ -113,6 +115,22 @@ def test_verify_not_anchored_exit_code(workspace, capsys, tmp_path):
     code = main(["--config", config, "verify", "--event", str(event), "--txid", txid])
     assert code == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["verdict"] == "not_anchored"
+
+
+def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_path):
+    _, config, _ = workspace
+    event = tmp_path / "event.json"
+    event.write_bytes(b'{"x":1}')
+    txid = hashlib.sha256(b'{"x":1}').hexdigest()
+    audit = tmp_path / "audit"
+    SimulatedLedger(str(audit / "ledger.json"), str(audit / "pending.json")).submit(txid)
+    queued = (audit / "pending.json").read_bytes()
+    assert main(["--config", config, "anchor-status", "--txid", txid]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["status"] == "submitted"
+    assert main(["--config", config, "verify", "--event", str(event), "--txid", txid]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["verdict"] == "not_anchored"
+    assert (audit / "pending.json").read_bytes() == queued
+    assert not (audit / "ledger.json").exists()
 
 
 def test_metrics_serve_smoke(workspace, capsys, tmp_path):

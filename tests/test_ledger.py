@@ -2,10 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
+import signal
+import sys
+import tempfile
+import threading
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from affectfuse.audit import ledger as ledger_mod
 from affectfuse.audit.canonical import canonicalize, compute_txid
 from affectfuse.audit.ledger import (
     GAS_PER_ANCHOR,
@@ -95,9 +104,11 @@ def test_chain_revalidation_detects_mutation(tmp_path):
         for n in range(4):
             ledger.submit(txid_of(n))
         ledger.seal_pending()
-    raw = json.loads(ledger_path.read_text())
-    raw["blocks"][0]["entries"][2]["txid"] = txid_of(999)
-    ledger_path.write_text(json.dumps(raw))
+    lines = ledger_path.read_bytes().splitlines(keepends=True)
+    block = json.loads(lines[0])
+    block["entries"][2]["txid"] = txid_of(999)
+    lines[0] = canonicalize(block) + b"\n"
+    ledger_path.write_bytes(b"".join(lines))
     with make_ledger(tmp_path) as tampered:
         ok, bad = tampered.verify_chain()
         assert not ok and bad == 0
@@ -172,3 +183,216 @@ def test_cost_amortized_by_batching():
     cost = estimate_anchor_cost(47000, 50, 3445, batch_size=1000)
     assert cost == pytest.approx(0.0081, abs=0.0002)
     assert cost < 0.01
+
+
+def test_golden_block_hashes(tmp_path):
+    with make_ledger(tmp_path, max_block_entries=3) as ledger:
+        for n in range(7):
+            ledger.submit(txid_of(n))
+        while ledger.seal_pending() is not None:
+            pass
+        assert [(b.block_number, len(b.entries), b.block_hash) for b in ledger.blocks] == [
+            (0, 3, "7a6d966b1e2a838ff49e0b2403fb07cc693f5975a6dd93a688217f8af1d90bd9"),
+            (1, 3, "056ad32b1ba2514477c5ad08c703a59d76e40dc71d6113e01db54d627d55418e"),
+            (2, 1, "c02040e6690679544159ae4c7a18061ee0bd635da4b8a1d411bae9ea5f8bb5a6"),
+        ]
+
+
+# --- append-only journals ---------------------------------------------------------------
+
+
+def ledger_lines(tmp_path):
+    return (tmp_path / "ledger.json").read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("anchored", [0, 2000])
+def test_submit_and_seal_cost_is_independent_of_history(tmp_path, anchored):
+    ledger_path, pending_path = tmp_path / "ledger.json", tmp_path / "pending.json"
+    with make_ledger(tmp_path) as ledger:
+        for n in range(anchored):
+            ledger.submit(txid_of(n))
+        while ledger.seal_pending() is not None:
+            pass
+        ledger_before = ledger_path.read_bytes() if ledger_path.exists() else b""
+        pending_before = pending_path.stat().st_size if pending_path.exists() else 0
+        ledger.submit(txid_of(anchored))
+        ledger.submit(txid_of(anchored))
+        assert pending_path.stat().st_size == pending_before + 65
+        assert (ledger_path.read_bytes() if ledger_path.exists() else b"") == ledger_before
+        ledger.seal_pending()
+        lines = ledger_lines(tmp_path)
+        assert b"".join(lines[:-1]) == ledger_before
+        assert json.loads(lines[-1])["entries"][0]["txid"] == txid_of(anchored)
+        assert pending_path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("cut", [1, 2, 100, -4])
+def test_torn_block_append_is_skipped_and_resealed(tmp_path, cut):
+    pending_path = tmp_path / "pending.json"
+    with make_ledger(tmp_path) as ledger:
+        for n in range(3):
+            ledger.submit(txid_of(n))
+        ledger.seal_pending()
+        ledger.submit(txid_of(3))
+        ledger.submit(txid_of(4))
+        queued = pending_path.read_bytes()
+        ledger.seal_pending()
+    intact = (tmp_path / "ledger.json").read_bytes()
+    # Crash while appending block 1: its line loses its last ``cut`` bytes (a
+    # negative cut keeps only -cut bytes) and the pending file is not compacted.
+    torn_end = len(intact) - cut if cut > 0 else len(ledger_lines(tmp_path)[0]) - cut
+    (tmp_path / "ledger.json").write_bytes(intact[:torn_end])
+    pending_path.write_bytes(queued)
+    with make_ledger(tmp_path) as reopened:
+        assert len(reopened.blocks) == 1
+        assert reopened.pending == (txid_of(3), txid_of(4))
+        reopened.seal_pending()
+    assert (tmp_path / "ledger.json").read_bytes() == intact
+    with make_ledger(tmp_path) as again:
+        assert again.verify_chain() == (True, None)
+        assert again.status(txid_of(4)).block_number == 1
+
+
+def test_crash_before_pending_compaction_drops_anchored_txids(tmp_path):
+    pending_path = tmp_path / "pending.json"
+    with make_ledger(tmp_path) as ledger:
+        ledger.submit(txid_of(1))
+        queued = pending_path.read_bytes()
+        ledger.seal_pending()
+    pending_path.write_bytes(queued)
+    with make_ledger(tmp_path) as reopened:
+        assert reopened.pending == ()
+        assert reopened.status(txid_of(1)).status == "anchored"
+        assert reopened.seal_pending() is None
+
+
+def test_torn_pending_line_is_dropped_and_cut(tmp_path):
+    pending_path = tmp_path / "pending.json"
+    ledger = make_ledger(tmp_path)
+    ledger.submit(txid_of(1))
+    ledger.submit(txid_of(2))
+    # Crash mid-submit: the instance is dropped without close().
+    with pending_path.open("ab") as handle:
+        handle.write(txid_of(3)[:30].encode())
+    reopened = make_ledger(tmp_path)
+    assert reopened.pending == (txid_of(1), txid_of(2))
+    reopened.submit(txid_of(4))
+    assert pending_path.read_bytes() == "".join(txid_of(n) + "\n" for n in (1, 2, 4)).encode()
+    reopened.close()
+    assert reopened.status(txid_of(4)).status == "anchored"
+    assert reopened.status(txid_of(3)).status == "disabled"
+
+
+def test_append_that_fails_part_way_is_cut_back(tmp_path):
+    pending_path = tmp_path / "pending.json"
+    ledger = make_ledger(tmp_path)
+    ledger.submit(txid_of(1))
+    # A file-size limit lets the next append write 30 of its 65 bytes, then fail.
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (65 + 30, limits[1]))
+    try:
+        with pytest.raises(OSError):
+            ledger.submit(txid_of(2))
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
+    assert pending_path.stat().st_size == 65 + 30
+    assert ledger.pending == (txid_of(1),)
+    ledger.submit(txid_of(3))
+    assert pending_path.read_bytes() == (txid_of(1) + "\n" + txid_of(3) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("ledger.json", b"not json\n"),
+        ("ledger.json", b'{"block_number":0}\n'),
+        ("ledger.json", b'{"blocks":[]}'),
+        ("pending.json", b"NOT-HEX\n"),
+        ("pending.json", (txid_of(1)[:63] + "\n").encode()),
+        ("pending.json", b'{"pending":[]}'),
+    ],
+)
+def test_corrupt_journal_lines_raise(tmp_path, name, data):
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(AnchorError):
+        make_ledger(tmp_path)
+
+
+def test_concurrent_submits_with_background_sealing(tmp_path):
+    expected = [txid_of(1000 * worker + n) for worker in range(4) for n in range(150)]
+
+    def submit_all(worker):
+        for n in range(150):
+            ledger.submit(txid_of(1000 * worker + n))
+            ledger.submit(txid_of(1000 * worker + n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with make_ledger(tmp_path, block_interval=0.01, max_block_entries=7, auto_seal=True) as ledger:
+            threads = [threading.Thread(target=submit_all, args=(worker,)) for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    reopened = make_ledger(tmp_path)
+    sealed = [entry.txid for block in reopened.blocks for entry in block.entries]
+    assert sorted(sealed) == sorted(expected)
+    assert reopened.pending == ()
+    assert reopened.verify_chain() == (True, None)
+
+
+class _Crash(Exception):
+    pass
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 24)),
+        st.tuples(st.just("seal"), st.just(0)),
+        st.tuples(st.sampled_from(["drop", "mid_seal", "torn_block", "torn_submit"]), st.integers(1, 400)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_STEPS, max_block_entries=st.integers(1, 5))
+def test_crash_restart_anchors_every_submitted_txid_once(steps, max_block_entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        submitted = set()
+        ledger = make_ledger(tmp_path, max_block_entries=max_block_entries)
+        for kind, arg in steps:
+            if kind == "submit":
+                ledger.submit(txid_of(arg))
+                submitted.add(txid_of(arg))
+            elif kind == "seal":
+                ledger.seal_pending()
+            else:  # crash: drop the instance without close(), then restart
+                if kind in ("mid_seal", "torn_block") and ledger.pending:
+                    # The block line is appended, then the pending rewrite crashes.
+                    with mock.patch.object(ledger_mod, "_atomic_write", side_effect=_Crash):
+                        with pytest.raises(_Crash):
+                            ledger.seal_pending()
+                    if kind == "torn_block":  # and the block append itself was cut short
+                        data = (tmp_path / "ledger.json").read_bytes()
+                        last = len(data.splitlines(keepends=True)[-1])
+                        (tmp_path / "ledger.json").write_bytes(data[: len(data) - min(arg, last)])
+                elif kind == "torn_submit":  # the append is cut short, so submit never returns
+                    ledger.submit(txid_of(1000 + arg))
+                    data = (tmp_path / "pending.json").read_bytes()
+                    (tmp_path / "pending.json").write_bytes(data[: len(data) - 1 - arg % 65])
+                ledger = make_ledger(tmp_path, max_block_entries=max_block_entries)
+        ledger.close()
+        reopened = make_ledger(tmp_path, max_block_entries=max_block_entries)
+        sealed = [entry.txid for block in reopened.blocks for entry in block.entries]
+        assert len(sealed) == len(set(sealed))
+        assert set(sealed) == submitted
+        assert reopened.pending == ()
+        assert reopened.verify_chain() == (True, None)

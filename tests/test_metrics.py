@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import requests
 
 from affectfuse.metrics import MetricsRegistry, export_metrics, serve_metrics
@@ -66,3 +68,14 @@ def test_export_metrics_to_file(tmp_path):
     text = export_metrics(registry, str(out))
     assert out.read_text() == text
     assert "pipeline_errors_total" in text
+
+
+def test_label_values_are_escaped():
+    registry = MetricsRegistry("stub", 'run "7"\\a\nb')
+    registry.gauge("audio_snr_db", "snr").set(1.0)
+    registry.histogram("pipeline_stage_latency_seconds", "latency").observe(0.01, stage='q"s')
+    text = registry.render()
+    assert 'audio_snr_db{model_size="stub",run_id="run \\"7\\"\\\\a\\nb"} 1' in text
+    sample = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*\{([a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\[\\"n])*",?)*\} \S+$')
+    for line in text.splitlines():
+        assert line.startswith("#") or sample.match(line), line
