@@ -11,6 +11,7 @@ from .audio import (
     ArousalSmoother,
     AudioBuffer,
     EmptyAudio,
+    NaNAudio,
     audio_emotion,
     compute_snr_db,
     derive_audio_vad,

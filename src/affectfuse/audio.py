@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -54,9 +55,13 @@ class EmptyAudio(ValueError):
     """Raised when an audio buffer contains no samples."""
 
 
+class NaNAudio(ValueError):
+    """Raised when an audio buffer contains a NaN sample."""
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio at 16 kHz with samples clamped to [-1, 1]."""
+    """Mono audio at 16 kHz with samples clamped to [-1, 1]; NaN is rejected."""
 
     samples: np.ndarray
     sample_rate: int = TARGET_SAMPLE_RATE
@@ -65,7 +70,10 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise EmptyAudio("audio buffer must be a non-empty 1-D array")
-        object.__setattr__(self, "samples", np.clip(samples, -1.0, 1.0))
+        samples = np.clip(samples, -1.0, 1.0)
+        if math.isnan(samples.min()):  # min propagates NaN
+            raise NaNAudio("audio buffer contains NaN samples")
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self) -> int:
@@ -129,17 +137,12 @@ class ArousalSmoother:
 def count_zero_crossings(samples: np.ndarray) -> int:
     """Count sample pairs with strictly opposite sign.
 
-    Zero-valued samples inherit the previous sign, so zero runs produce no
-    spurious crossings and an all-zero buffer counts 0.
+    Zero-valued samples (either sign of zero) inherit the previous sign, so
+    this counts sign changes among the non-zero samples only; zero runs
+    produce no spurious crossings and an all-zero buffer counts 0.
     """
-    signs = np.sign(samples)
-    nonzero = signs != 0.0
-    if not nonzero.any():
-        return 0
-    idx = np.where(nonzero, np.arange(samples.size), -1)
-    last = np.maximum.accumulate(idx)
-    filled = np.where(last >= 0, signs[np.maximum(last, 0)], 0.0)
-    return int(np.count_nonzero(filled[1:] * filled[:-1] < 0.0))
+    negative = np.signbit(samples[samples != 0.0])
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def compute_snr_db(buffer: AudioBuffer, block_size: int = DEFAULT_SNR_BLOCK) -> float:
@@ -157,16 +160,14 @@ def compute_snr_db(buffer: AudioBuffer, block_size: int = DEFAULT_SNR_BLOCK) -> 
     samples = buffer.samples
     n = samples.size
     if n < block_size:
-        blocks = [samples]
+        blocks = samples.reshape(1, n)
     else:
-        full = n // block_size
-        remainder = n - full * block_size
-        blocks = list(samples[: full * block_size].reshape(full, block_size))
+        full, remainder = divmod(n, block_size)
         if remainder >= block_size / 2:
-            tail = np.zeros(block_size)
-            tail[:remainder] = samples[full * block_size:]
-            blocks.append(tail)
-    energies = np.array([float(np.mean(b * b)) for b in blocks])
+            full += 1
+            samples = np.concatenate([samples, np.zeros(full * block_size - n)])
+        blocks = samples[: full * block_size].reshape(full, block_size)
+    energies = np.mean(blocks * blocks, axis=1)
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
         return 0.0
@@ -184,7 +185,16 @@ def _mel_inv(mels: np.ndarray) -> np.ndarray:
     return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
+def _hamming_window(frame: int) -> np.ndarray:
+    window = np.hamming(frame)
+    window.setflags(write=False)
+    return window
+
+
+@lru_cache(maxsize=8)
 def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filters; cached per shape and rate, and read-only."""
     points = _mel_inv(np.linspace(0.0, _mel(np.array(sample_rate / 2.0)), n_filters + 2))
     bins = np.floor((n_fft + 1) * points / sample_rate).astype(int)
     bank = np.zeros((n_filters, n_fft // 2 + 1))
@@ -194,6 +204,7 @@ def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
             bank[i, left:center] = (np.arange(left, center) - left) / (center - left)
         if right > center:
             bank[i, center:right] = (right - np.arange(center, right)) / (right - center)
+    bank.setflags(write=False)
     return bank
 
 
@@ -211,7 +222,7 @@ def mfcc_timbre_score(samples: np.ndarray, sample_rate: int) -> Optional[float]:
         return None
     windows = np.lib.stride_tricks.sliding_window_view(samples, frame)[::hop]
     n_fft = 1 << (frame - 1).bit_length()
-    spectra = np.abs(np.fft.rfft(windows * np.hamming(frame), n=n_fft)) ** 2
+    spectra = np.abs(np.fft.rfft(windows * _hamming_window(frame), n=n_fft)) ** 2
     bank = _mel_filterbank(_N_FILTERS, n_fft, sample_rate)
     log_energy = np.log(np.maximum(spectra @ bank.T, 1e-12))
     coeffs = dct(log_energy, type=2, axis=1, norm="ortho")[:, :_N_MFCC]
@@ -261,7 +272,7 @@ def derive_audio_vad(
     and a copy of the features with arousal_smoothed filled in. The smoother
     is updated in place.
     """
-    arousal = min(1.0, features.rms_norm * (0.9 + 0.1 * features.zcr_norm))
+    arousal = features.arousal_raw
     valence = base_valence
     if features.mfcc_present:
         valence = clamp(valence + (features.timbre_score - 0.5) * 0.2, -1.0, 1.0)
@@ -333,7 +344,8 @@ def load_wav(path: str, target_rate: int = TARGET_SAMPLE_RATE) -> AudioBuffer:
     """Read a WAV file (8/16/24/32-bit PCM or 32-bit float) as a 16 kHz buffer.
 
     Multi-channel audio is downmixed by arithmetic mean; other sample rates
-    are resampled by linear interpolation; samples are clamped to [-1, 1].
+    are resampled by linear interpolation; samples are clamped to [-1, 1]
+    and a NaN sample raises NaNAudio.
     """
     rate, data = wavfile.read(path)
     if data.size == 0:

@@ -177,7 +177,8 @@ class Pipeline:
         session.turns += 1
         event_id = f"{cfg.run_id}/{turn.session_id}/{session.turns:06d}"
 
-        buffer = audio_mod.load_wav(turn.audio_path)
+        with self._timed("decode"):
+            buffer = audio_mod.load_wav(turn.audio_path)
         with self._timed("asr"):
             transcript, asr_conf = self.asr.transcribe(buffer, turn)
         with self._timed("audio_emotion"):

@@ -10,6 +10,9 @@ from affectfuse.audio import (
     ArousalSmoother,
     AudioBuffer,
     EmptyAudio,
+    NaNAudio,
+    _hamming_window,
+    _mel_filterbank,
     audio_emotion,
     compute_snr_db,
     count_zero_crossings,
@@ -31,6 +34,20 @@ def silence(n=16000):
 def test_empty_buffer_rejected():
     with pytest.raises(EmptyAudio):
         AudioBuffer(samples=np.array([]))
+
+
+@pytest.mark.parametrize("index", [0, 10, 999])
+def test_nan_sample_rejected(index):
+    samples = np.zeros(1000)
+    samples[index] = np.nan
+    with pytest.raises(NaNAudio, match="NaN"):
+        AudioBuffer(samples=samples)
+    assert issubclass(NaNAudio, ValueError)
+
+
+def test_infinite_samples_clamp():
+    buf = AudioBuffer(samples=np.array([np.inf, -np.inf, 0.5]))
+    assert buf.samples.tolist() == [1.0, -1.0, 0.5]
 
 
 def test_silence_features():
@@ -290,3 +307,183 @@ def test_resample_linear_preserves_duration():
     samples = np.sin(np.linspace(0, 20, 8000))
     out = resample_linear(samples, 8000, 16000)
     assert out.size == 16000
+
+
+# --- golden features and oracles ---------------------------------------------
+
+
+def _golden_buffers():
+    """Named (buffer, snr_block_size) cases covering every feature branch."""
+    rng = np.random.default_rng(11)
+    tone = 0.3 * np.sin(2 * np.pi * 440 * np.arange(160000) / 16000.0)
+    tone += rng.normal(0, 0.01, tone.size)
+    noise = np.random.default_rng(2024).normal(0.0, 0.05, 5000)
+    zero_runs = noise[:3000].copy()
+    zero_runs[:137] = 0.0
+    zero_runs[800:1100] = -0.0
+    zero_runs[1500:1520] = 0.0
+    zero_runs[1520:1530] = -0.0
+    return {
+        "tone_seed11": (tone, 512),
+        "all_zero": (np.zeros(16000), 512),
+        "shorter_than_block": (noise[:450], 512),
+        "remainder_below_half": (noise[: 7 * 512 + 255], 512),
+        "remainder_at_half": (noise[: 7 * 512 + 256], 512),
+        "zero_runs": (zero_runs, 512),
+        "block_size_1": (noise[:2000], 1),
+    }
+
+
+#: float.hex of every AcousticFeatures field. The fields go into the audit
+#: event, so any change to these bits changes event bytes and txids.
+GOLDEN_FEATURES = {
+    "all_zero": {
+        "rms": "0x0.0p+0",
+        "rms_norm": "0x0.0p+0",
+        "zcr_raw": "0x0.0p+0",
+        "zcr_norm": "0x0.0p+0",
+        "timbre_score": "0x1.0000000000000p-1",
+        "mfcc_present": False,
+        "snr_db": "0x0.0p+0",
+        "arousal_raw": "0x0.0p+0",
+        "arousal_smoothed": None,
+    },
+    "block_size_1": {
+        "rms": "0x1.9d43ade210b68p-5",
+        "rms_norm": "0x1.18c0108fd67bfp-2",
+        "zcr_raw": "0x1.024dd2f1a9fbep-1",
+        "zcr_norm": "0x1.0000000000000p+0",
+        "timbre_score": "0x1.37cfbece1d662p-5",
+        "mfcc_present": True,
+        "snr_db": "0x1.16f9e8648acbdp+4",
+        "arousal_raw": "0x1.18c0108fd67bfp-2",
+        "arousal_smoothed": None,
+    },
+    "remainder_at_half": {
+        "rms": "0x1.9646fbde06e71p-5",
+        "rms_norm": "0x1.1400eb1b01e81p-2",
+        "zcr_raw": "0x1.02aaaaaaaaaabp-1",
+        "zcr_norm": "0x1.0000000000000p+0",
+        "timbre_score": "0x1.393386f068092p-5",
+        "mfcc_present": True,
+        "snr_db": "0x1.71b5ebcce1ae0p+1",
+        "arousal_raw": "0x1.1400eb1b01e81p-2",
+        "arousal_smoothed": None,
+    },
+    "remainder_below_half": {
+        "rms": "0x1.9642b6b65574cp-5",
+        "rms_norm": "0x1.13fe047915e16p-2",
+        "zcr_raw": "0x1.02bbea64f5aa0p-1",
+        "zcr_norm": "0x1.0000000000000p+0",
+        "timbre_score": "0x1.393386f068092p-5",
+        "mfcc_present": True,
+        "snr_db": "0x1.cb6b208cf4e48p-1",
+        "arousal_raw": "0x1.13fe047915e16p-2",
+        "arousal_smoothed": None,
+    },
+    "shorter_than_block": {
+        "rms": "0x1.951519f46c003p-5",
+        "rms_norm": "0x1.13311e2770539p-2",
+        "zcr_raw": "0x1.e4b17e4b17e4bp-2",
+        "zcr_norm": "0x1.0000000000000p+0",
+        "timbre_score": "0x1.29a376118fdfdp-5",
+        "mfcc_present": True,
+        "snr_db": "0x0.0p+0",
+        "arousal_raw": "0x1.13311e2770539p-2",
+        "arousal_smoothed": None,
+    },
+    "tone_seed11": {
+        "rms": "0x1.b2f892db2191ep-3",
+        "rms_norm": "0x1.0000000000000p+0",
+        "zcr_raw": "0x1.c28240b780347p-5",
+        "zcr_norm": "0x1.19916872b020cp-1",
+        "timbre_score": "0x1.347aff05cd6cap-3",
+        "mfcc_present": True,
+        "snr_db": "0x1.ab75fb66301c0p-6",
+        "arousal_raw": "0x1.e8f4f0d844d01p-1",
+        "arousal_smoothed": None,
+    },
+    "zero_runs": {
+        "rms": "0x1.742057c05934fp-5",
+        "rms_norm": "0x1.f99b3f93418d7p-3",
+        "zcr_raw": "0x1.bc6a7ef9db22dp-2",
+        "zcr_norm": "0x1.0000000000000p+0",
+        "timbre_score": "0x1.5187eb9d935b8p-5",
+        "mfcc_present": True,
+        "snr_db": "0x1.3c49ad3ff0c42p+0",
+        "arousal_raw": "0x1.f99b3f93418d7p-3",
+        "arousal_smoothed": None,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_golden_buffers()))
+def test_golden_features_bit_identical(name):
+    samples, block = _golden_buffers()[name]
+    feats = extract_acoustic_features(AudioBuffer(samples=samples), snr_block_size=block)
+    got = {
+        key: value if isinstance(value, bool) or value is None else float(value).hex()
+        for key, value in feats.as_metadata().items()
+    }
+    assert got == GOLDEN_FEATURES[name]
+
+
+def _zcr_oracle(samples):
+    # straight-line loop of acceptance 04: zeros inherit the previous sign
+    effective, prev = [], 0.0
+    for x in samples:
+        prev = 1.0 if x > 0 else (-1.0 if x < 0 else prev)
+        effective.append(prev)
+    return sum(1 for a, b in zip(effective, effective[1:]) if a * b < 0)
+
+
+def _snr_oracle(samples, block_size):
+    n = samples.size
+    if n < block_size:
+        blocks = [samples]
+    else:
+        full = n // block_size
+        blocks = [samples[i * block_size:(i + 1) * block_size] for i in range(full)]
+        if n - full * block_size >= block_size / 2:
+            tail = np.zeros(block_size)
+            tail[: n - full * block_size] = samples[full * block_size:]
+            blocks.append(tail)
+    energies = np.array([float(np.mean(b * b)) for b in blocks])
+    mean_energy = float(energies.mean())
+    if mean_energy == 0.0:
+        return 0.0
+    floor = float(np.sort(energies)[max(0, math.ceil(0.10 * energies.size) - 1)])
+    return min(80.0, max(0.0, 10.0 * math.log10(mean_energy / max(floor, 1e-12))))
+
+
+_sample_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]),
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+)
+
+
+@given(st.lists(_sample_values, min_size=1, max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_zero_crossings_match_loop_oracle(values):
+    assert count_zero_crossings(np.array(values)) == _zcr_oracle(values)
+
+
+@given(
+    st.lists(_sample_values, min_size=1, max_size=3000),
+    st.sampled_from([1, 2, 7, 64, 256, 512, 1000]),
+)
+@settings(max_examples=200, deadline=None)
+def test_snr_matches_per_block_oracle(values, block_size):
+    buf = AudioBuffer(samples=np.array(values))
+    assert compute_snr_db(buf, block_size) == _snr_oracle(buf.samples, block_size)
+
+
+def test_cached_tables_are_read_only():
+    window = _hamming_window(400)
+    bank = _mel_filterbank(26, 512, 16000)
+    assert _hamming_window(400) is window
+    assert _mel_filterbank(26, 512, 16000) is bank
+    with pytest.raises(ValueError):
+        window[0] = 1.0
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0

@@ -160,8 +160,27 @@ def test_metrics_populated_after_turn(tmp_path, wav_path, pinned_clock):
     text = registry.render()
     assert 'audio_snr_db{model_size="stub",run_id="local"}' in text
     assert "cross_modal_coherence" in text
-    for stage in ("asr", "audio_emotion", "text_emotion", "fusion", "guardrails", "audit"):
+    for stage in ("decode", "asr", "audio_emotion", "text_emotion", "fusion", "guardrails", "audit"):
         assert f'stage="{stage}"' in text
+
+
+def test_nan_audio_rejected_before_audit(tmp_path, pinned_clock):
+    from pathlib import Path
+
+    from scipy.io import wavfile
+
+    from affectfuse.audio import NaNAudio
+
+    samples = sine_buffer(440.0, 0.4).samples.astype(np.float32)
+    samples[100] = np.nan
+    path = tmp_path / "nan.wav"
+    wavfile.write(str(path), 16000, samples)
+    config = make_test_config(tmp_path)
+    with Pipeline(config, clock=pinned_clock) as pipeline:
+        with pytest.raises(NaNAudio, match="NaN"):
+            pipeline.run_turn(turn(str(path)))
+    log = Path(config.audit.log_path)
+    assert not log.exists() or log.read_bytes() == b""
 
 
 def test_anchoring_enabled_submits(tmp_path, wav_path, pinned_clock):
