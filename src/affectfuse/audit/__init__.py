@@ -21,7 +21,7 @@ from .ledger import (
     estimate_anchor_cost,
     verify_anchorage,
 )
-from .log import AuditLog, AuditWriteError, append_audit_log, read_event_line
+from .log import AuditLog, AuditWriteError, read_event_line
 from .merkle import EmptyBatch, MerkleBatch, MerkleProof, merkle_proof, merkle_root, merkle_verify
 from .redact import RedactionReport, redact_pii, redact_text
 
@@ -43,7 +43,6 @@ __all__ = [
     "SimulatedLedger",
     "Verdict",
     "anchor_txid",
-    "append_audit_log",
     "canonical_number",
     "canonicalize",
     "compute_txid",

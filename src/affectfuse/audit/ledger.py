@@ -150,6 +150,8 @@ class SimulatedLedger:
 
     Both files are line journals, so no call's cost grows with history: a seal
     appends one block line, then rewrites the pending txid lines still queued.
+    One instance owns the pair of files: an append to a journal that another
+    process has changed raises :class:`AnchorError`.
     """
 
     def __init__(
@@ -174,6 +176,9 @@ class SimulatedLedger:
         self._clock = clock or (lambda: time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()))
         self._lock = threading.Lock()
         self._cut_to: Dict[Path, int] = {}
+        # Bytes each journal held when this instance last read or wrote it, so
+        # an append notices another writer; None after a failed write.
+        self._sizes: Dict[Path, Optional[int]] = {}
         self._blocks: List[LedgerBlock] = []
         # Insertion-ordered set: FIFO for sealing, O(1) membership.
         self._pending: Dict[str, None] = {}
@@ -196,22 +201,30 @@ class SimulatedLedger:
         size = 0
         with path.open("rb") as handle:
             for line in handle:
+                size += len(line)
                 if not line.endswith(b"\n"):
                     if not torn_ok(line):
                         raise ValueError(f"incomplete last line is not a record prefix: {line[:40]!r}")
-                    self._cut_to[path] = size
-                    return
-                size += len(line)
+                    self._cut_to[path] = size - len(line)
+                    break
                 yield line[:-1]
+        self._sizes[path] = size
 
     def _append(self, path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("ab") as handle:
             size = handle.seek(0, io.SEEK_END)
+            known = self._sizes.get(path, 0)
+            if known is not None and size != known:
+                raise AnchorError(
+                    f"{path} is {size} bytes, not the {known} this ledger left: another process writes to it"
+                )
             end = self._cut_to.setdefault(path, size)  # so a failed write is cut off next time
             if end < size:
                 handle.truncate(end)
+            self._sizes[path] = None
             handle.write(data)
+        self._sizes[path] = end + len(data)
         del self._cut_to[path]
 
     def _load(self) -> None:
@@ -285,7 +298,9 @@ class SimulatedLedger:
             for entry in entries:
                 self._anchored[entry.txid] = (block_number, entry.tx_hash, entry.sender)
                 del self._pending[entry.txid]
-            _atomic_write(self.pending_path, "".join(txid + "\n" for txid in self._pending).encode("ascii"))
+            queued = "".join(txid + "\n" for txid in self._pending).encode("ascii")
+            _atomic_write(self.pending_path, queued)
+            self._sizes[self.pending_path] = len(queued)
             self._cut_to.pop(self.pending_path, None)
             return block
 

@@ -4,44 +4,107 @@ One canonical event per line. Appends are serialized through a lock and
 written with a single O_APPEND write so concurrent writers never tear or
 interleave lines. A failed append is fatal for the turn: an inference that
 cannot be audited must not return silently.
+
+Reads go through a table of line-start offsets, so fetching any line costs
+one ``pread`` however long the log is.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import os
 import threading
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
+
+log = logging.getLogger(__name__)
+
+_SCAN_CHUNK = 1 << 20
 
 
 class AuditWriteError(OSError):
     """The audit log could not be appended to."""
 
 
-def _count_lines(path: Path) -> int:
-    if not path.exists():
-        return 0
-    lines = 0
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(1 << 20)
-            if not chunk:
-                break
-            lines += chunk.count(b"\n")
-    return lines
+def _line_starts(fd: int, size: int) -> array:
+    """Offset 0 and the offset just past every newline in the first ``size`` bytes.
+
+    Line ``k`` (1-based) starts at entry ``k - 1``. The last entry is ``size``
+    unless the file ends in a line without its newline.
+    """
+    starts = array("q", [0])
+    for base in range(0, size, _SCAN_CHUNK):
+        chunk = os.pread(fd, min(_SCAN_CHUNK, size - base), base)
+        at = chunk.find(b"\n")
+        while at != -1:
+            starts.append(base + at + 1)
+            at = chunk.find(b"\n", at + 1)
+    return starts
+
+
+@dataclass(frozen=True)
+class _OpenFile:
+    """An open file, equal to another only when its fstat state is the same.
+
+    ``ctime`` cannot be set from user space, so an append, rewrite, truncation
+    or ``os.replace`` changes the key and the cached index is rebuilt. Where
+    the kernel keeps coarse timestamps, a rewrite that keeps the size within
+    one clock tick of the last lookup keeps the key too.
+    """
+
+    dev: int
+    ino: int
+    size: int
+    mtime_ns: int
+    ctime_ns: int
+    fd: int = field(compare=False)
+
+
+@functools.lru_cache(maxsize=4)
+def _line_index(opened: _OpenFile) -> array:
+    return _line_starts(opened.fd, opened.size)
 
 
 class AuditLog:
-    """Single-writer append handle for one JSONL file."""
+    """Single-writer append handle for one JSONL file.
+
+    Opening a log whose last line has no newline (a crash mid-append) moves
+    that fragment to ``<log>.torn`` as ``<byte offset> <bytes>\\n`` and cuts the
+    log back to its last complete line, so the next event starts a new line.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._lines = _count_lines(self.path)
-            self._fd = os.open(self.path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+            self._fd = os.open(self.path, os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                size = os.fstat(self._fd).st_size
+                starts = _line_starts(self._fd, size)
+                if starts[-1] < size:
+                    self._quarantine_torn_tail(starts[-1], size)
+            except OSError:
+                os.close(self._fd)
+                raise
         except OSError as exc:
             raise AuditWriteError(f"cannot open audit log {self.path}: {exc}") from exc
+        self._lines = len(starts) - 1
+
+    def _quarantine_torn_tail(self, offset: int, size: int) -> None:
+        fragment = os.pread(self._fd, size - offset, offset)
+        torn = self.path.with_name(self.path.name + ".torn")
+        with open(torn, "ab") as handle:
+            handle.write(b"%d %s\n" % (offset, fragment))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.ftruncate(self._fd, offset)
+        log.warning(
+            "audit log %s ended in a torn line: moved %d bytes at offset %d to %s",
+            self.path, len(fragment), offset, torn,
+        )
 
     def append(self, canonical_bytes: bytes) -> int:
         """Append one canonical event and return its 1-based line number."""
@@ -71,19 +134,22 @@ class AuditLog:
         self.close()
 
 
-def append_audit_log(canonical_bytes: bytes, log_path: str) -> int:
-    """One-shot append; prefer a long-lived AuditLog for hot paths."""
-    log = AuditLog(log_path)
-    try:
-        return log.append(canonical_bytes)
-    finally:
-        log.close()
-
-
 def read_event_line(log_path: str, line_number: int) -> bytes:
-    """Return the exact bytes of one event line (without the newline)."""
-    with open(log_path, "rb") as handle:
-        for current, line in enumerate(handle, start=1):
-            if current == line_number:
-                return line.rstrip(b"\n")
-    raise AuditWriteError(f"{log_path} has no line {line_number}")
+    """Return the exact bytes of one event line (without the newline).
+
+    A last line without its newline is returned as it stands.
+    """
+    fd = os.open(log_path, os.O_RDONLY)
+    try:
+        st = os.fstat(fd)
+        opened = _OpenFile(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns, fd)
+        starts = _line_index(opened)
+        if 1 <= line_number < len(starts):
+            start, stop = starts[line_number - 1], starts[line_number] - 1
+        elif line_number == len(starts) and starts[-1] < opened.size:
+            start, stop = starts[-1], opened.size
+        else:
+            raise AuditWriteError(f"{log_path} has no line {line_number}")
+        return os.pread(fd, stop - start, start)
+    finally:
+        os.close(fd)

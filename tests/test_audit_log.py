@@ -1,17 +1,26 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import tempfile
 import threading
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from affectfuse.audit import log as log_mod
 from affectfuse.audit.canonical import canonicalize
-from affectfuse.audit.log import AuditLog, AuditWriteError, append_audit_log, read_event_line
+from affectfuse.audit.log import AuditLog, AuditWriteError, read_event_line
 
 
 def test_first_append_is_line_one(tmp_path):
     path = tmp_path / "events.jsonl"
-    assert append_audit_log(canonicalize({"n": 1}), str(path)) == 1
+    with AuditLog(str(path)) as log:
+        assert log.append(canonicalize({"n": 1})) == 1
 
 
 def test_sequential_appends_preserve_order(tmp_path):
@@ -25,8 +34,10 @@ def test_sequential_appends_preserve_order(tmp_path):
 
 def test_line_count_resumes_on_reopen(tmp_path):
     path = tmp_path / "events.jsonl"
-    append_audit_log(canonicalize({"n": 1}), str(path))
-    assert append_audit_log(canonicalize({"n": 2}), str(path)) == 2
+    with AuditLog(str(path)) as log:
+        log.append(canonicalize({"n": 1}))
+    with AuditLog(str(path)) as log:
+        assert log.append(canonicalize({"n": 2})) == 2
 
 
 def test_newline_in_payload_rejected(tmp_path):
@@ -75,3 +86,108 @@ def test_read_event_line(tmp_path):
     assert read_event_line(str(path), 2) == second
     with pytest.raises(AuditWriteError):
         read_event_line(str(path), 3)
+
+
+# --- torn tail --------------------------------------------------------------------------
+
+
+def test_torn_last_line_is_quarantined_on_open(tmp_path, caplog):
+    path = tmp_path / "events.jsonl"
+    complete = canonicalize({"n": 1}) + b"\n" + canonicalize({"n": 2}) + b"\n"
+    fragment = canonicalize({"n": 3, "text": "se cort\u00f3"})[:-3]  # cut inside the last character
+    path.write_bytes(complete + fragment)
+    with caplog.at_level(logging.WARNING, logger="affectfuse.audit.log"):
+        with AuditLog(str(path)) as log:
+            assert log.append(canonicalize({"n": 4})) == 3
+    assert "torn" in caplog.text
+    assert [json.loads(line)["n"] for line in path.read_bytes().splitlines()] == [1, 2, 4]
+    assert (tmp_path / "events.jsonl.torn").read_bytes() == b"%d %s\n" % (len(complete), fragment)
+    with AuditLog(str(path)) as log:
+        assert log.append(canonicalize({"n": 5})) == 4
+    assert (tmp_path / "events.jsonl.torn").read_bytes().count(b"\n") == 1
+
+
+# --- line index ---------------------------------------------------------------------------
+
+
+def read_line_by_scan(log_path, line_number):
+    """The original lookup, kept as the oracle: iterate the file from line 1."""
+    with open(log_path, "rb") as handle:
+        for current, line in enumerate(handle, start=1):
+            if current == line_number:
+                return line.rstrip(b"\n")
+    raise AuditWriteError(f"{log_path} has no line {line_number}")
+
+
+def lookup(reader, path, line_number):
+    try:
+        return reader(str(path), line_number)
+    except AuditWriteError:
+        return AuditWriteError
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"a", b"{}", b"\xff", b"\xc3", b"\x00"]), max_size=60),
+    extra=st.lists(st.integers(-3, 3), max_size=4),
+)
+def test_read_event_line_matches_scan(data, extra):
+    content = b"".join(data)
+    lines = content.count(b"\n") + (not content.endswith(b"\n") and content != b"")
+    log_mod._line_index.cache_clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        path.write_bytes(content)
+        for line_number in [0, -1, 1, lines, lines + 1, *(lines + k for k in extra)]:
+            assert lookup(read_event_line, path, line_number) == lookup(read_line_by_scan, path, line_number)
+
+
+def test_index_is_rebuilt_when_the_file_changes(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(b"aa\nbb\ncc\n")
+    log_mod._line_index.cache_clear()
+    assert read_event_line(str(path), 2) == b"bb"
+    assert read_event_line(str(path), 3) == b"cc"
+    assert log_mod._line_index.cache_info().misses == 1
+
+    with AuditLog(str(path)) as log:  # append
+        log.append(b"dd")
+    assert read_event_line(str(path), 4) == b"dd"
+
+    # Kernels without fine-grained timestamps advance mtime/ctime once per
+    # clock tick, so let one pass before a rewrite that keeps the size.
+    time.sleep(0.05)
+    with open(path, "r+b") as handle:  # same size, newlines moved
+        handle.write(b"a\nabb\ncc")
+    assert read_event_line(str(path), 1) == b"a"
+    assert read_event_line(str(path), 2) == b"abb"
+
+    with open(path, "r+b") as handle:  # truncation
+        handle.truncate(4)
+    assert read_event_line(str(path), 2) == b"ab"
+    with pytest.raises(AuditWriteError):
+        read_event_line(str(path), 3)
+
+    replacement = tmp_path / "replacement.jsonl"
+    replacement.write_bytes(b"x\nyy\n")
+    inode = path.stat().st_ino
+    os.replace(replacement, path)
+    assert path.stat().st_ino != inode
+    assert read_event_line(str(path), 2) == b"yy"
+    assert log_mod._line_index.cache_info().misses == 5
+
+
+def test_lookups_build_the_index_once_and_read_one_line_each(tmp_path):
+    path = tmp_path / "events.jsonl"
+    events = [canonicalize({"n": n, "pad": "x" * (n % 97)}) for n in range(2000)]
+    with AuditLog(str(path)) as log:
+        for event in events:
+            log.append(event)
+    log_mod._line_index.cache_clear()
+    with mock.patch.object(os, "pread", wraps=os.pread) as spy:
+        assert read_event_line(str(path), 1) == events[0]
+        spy.reset_mock()
+        for line_number in range(2000, 0, -1):
+            assert read_event_line(str(path), line_number) == events[line_number - 1]
+    assert log_mod._line_index.cache_info().misses == 1
+    assert [c.args[1] for c in spy.call_args_list] == [len(event) for event in reversed(events)]

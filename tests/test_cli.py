@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from affectfuse.audit import SimulatedLedger
-from affectfuse.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from affectfuse.audit import AuditLog, SimulatedLedger, canonicalize
+from affectfuse.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 
 from conftest import sine_buffer, write_wav
 
@@ -115,6 +115,24 @@ def test_verify_not_anchored_exit_code(workspace, capsys, tmp_path):
     code = main(["--config", config, "verify", "--event", str(event), "--txid", txid])
     assert code == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["verdict"] == "not_anchored"
+
+
+def test_verify_reads_the_last_line_of_a_long_log(workspace, capsys):
+    tmp_path, config, _ = workspace
+    audit = tmp_path / "audit"
+    log = audit / "events.jsonl"
+    with AuditLog(str(log)) as audit_log:
+        for n in range(2000):
+            event = canonicalize({"n": n})
+            assert audit_log.append(event) == n + 1
+    txid = hashlib.sha256(event).hexdigest()
+    with SimulatedLedger(str(audit / "ledger.json"), str(audit / "pending.json")) as ledger:
+        ledger.submit(txid)
+    verify = ["--config", config, "verify", "--event", str(log), "--txid", txid, "--line"]
+    assert main(verify + ["2000"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"] == "verified"
+    assert main(verify + ["2001"]) == EXIT_RUNTIME
+    assert "has no line 2001" in capsys.readouterr().err
 
 
 def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_path):

@@ -303,6 +303,20 @@ def test_append_that_fails_part_way_is_cut_back(tmp_path):
     assert pending_path.read_bytes() == (txid_of(1) + "\n" + txid_of(3) + "\n").encode()
 
 
+def test_second_writer_fails_loudly(tmp_path):
+    first, second = make_ledger(tmp_path), make_ledger(tmp_path)
+    first.submit(txid_of(1))
+    first.seal_pending()
+    second.submit(txid_of(2))
+    with pytest.raises(AnchorError, match="ledger.json"):
+        second.seal_pending()
+    with pytest.raises(AnchorError, match="pending.json"):
+        first.submit(txid_of(3))
+    reopened = make_ledger(tmp_path)
+    assert [block.block_number for block in reopened.blocks] == [0]
+    assert reopened.verify_chain() == (True, None)
+
+
 @pytest.mark.parametrize(
     "name, data",
     [
