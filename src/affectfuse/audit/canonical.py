@@ -18,56 +18,49 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring as _encode_string
 from typing import Any, List
 
 CANONICAL_VERSION = 1
-
-_MAX_FORMAT_ROUNDS = 32
 
 
 class CanonicalizationError(ValueError):
     """The value cannot be represented canonically (non-finite, bad type)."""
 
 
-def _format_fixed(value: float) -> str:
-    text = f"{value:.12f}"
-    text = text.rstrip("0").rstrip(".")
-    if text in ("", "-", "-0"):
-        return "0"
-    return text
-
-
 def canonical_number(value: float) -> str:
     """Shortest fixed-decimal form that survives a parse/format round trip.
 
-    Quantizing at 12 fractional digits can land between representable doubles
-    for large magnitudes, so the format is iterated to a fixed point; for the
-    value ranges stored in audit events one pass suffices.
+    The correctly rounded 12-digit form is already a round-trip fixed point,
+    so one format suffices: the double nearest to that text is no farther
+    from it than ``value`` is, so it formats back to the same digits (exact
+    ties round half-even both times).
     """
     if not math.isfinite(value):
         raise CanonicalizationError(f"non-finite number: {value!r}")
-    text = _format_fixed(value)
-    for _ in range(_MAX_FORMAT_ROUNDS):
-        again = _format_fixed(float(text))
-        if again == text:
-            return text
-        text = again
-    raise CanonicalizationError(f"no stable decimal form for {value!r}")
+    text = f"{value:.12f}".rstrip("0").rstrip(".")
+    return "0" if text in ("", "-", "-0") else text
 
 
 def _emit(value: Any, out: List[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
+    # Most frequent types first. Only bool and int overlap (bool subclasses
+    # int), so the order changes no output as long as bool precedes int.
+    if isinstance(value, str):
+        out.append(_encode_string(value))
     elif isinstance(value, float):
         out.append(canonical_number(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise CanonicalizationError("object keys must be strings")
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append(",")
+            out.append(_encode_string(key))
+            out.append(":")
+            _emit(value[key], out)
+        out.append("}")
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
@@ -75,18 +68,14 @@ def _emit(value: Any, out: List[str]) -> None:
                 out.append(",")
             _emit(item, out)
         out.append("]")
-    elif isinstance(value, dict):
-        keys = list(value.keys())
-        if any(not isinstance(k, str) for k in keys):
-            raise CanonicalizationError("object keys must be strings")
-        out.append("{")
-        for i, key in enumerate(sorted(keys)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
     else:
         raise CanonicalizationError(f"unsupported type: {type(value).__name__}")
 

@@ -2,17 +2,21 @@
 
 Variants: text_only and audio_only use a single channel; linear mixes with
 w_text equal to the manifest ASR confidence; fuzzy runs the full pipeline
-(including auditing). Ablations reuse the channel outputs with a forced
-weight: no_text (0), no_audio (1), no_gating (raw confidence), fixed_weight
-(0.5). The report carries per-class and macro/weighted precision/recall/F1,
-accuracy, class-normalized confusion matrices, and a disagreement analysis
-counting rows where the fuzzy variant is correct and a baseline is wrong.
+(including auditing). Ablations mix the same channel outputs with a forced
+weight: no_text (0), no_audio (1), no_gating (raw confidence, so it reuses
+the linear prediction), fixed_weight (0.5). Each row computes its channels
+once: every variant reads the fuzzy turn's channel outputs, or, when fuzzy
+is not requested, those of ``pipeline.run_channels``. The report carries
+per-class and macro/weighted precision/recall/F1, accuracy, class-normalized
+confusion matrices, and a disagreement analysis counting rows where the
+fuzzy variant is correct and a baseline is wrong.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -23,7 +27,7 @@ from .config import PipelineConfig
 from .core import LABELS, canonical_label, dominant_emotion
 from .fusion import fuse_distributions
 from .metrics import MetricsRegistry
-from .pipeline import Clock, Pipeline, TurnInput
+from .pipeline import Clock, ManifestStubAsr, Pipeline, TurnInput, run_channels
 
 VARIANTS = ("text_only", "audio_only", "linear", "fuzzy")
 ABLATIONS = ("no_text", "no_audio", "no_gating", "fixed_weight")
@@ -44,10 +48,12 @@ def load_manifest(path: str) -> List[ManifestRow]:
     """Read manifest rows {id, audio, transcript, asr_confidence, label}.
 
     Relative audio paths resolve against the manifest directory; Spanish
-    label aliases are accepted.
+    label aliases are accepted. Row ids must be unique: batch evaluation
+    gives each row its own pipeline session.
     """
     base = Path(path).resolve().parent
     rows: List[ManifestRow] = []
+    first_line: Dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -69,6 +75,13 @@ def load_manifest(path: str) -> List[ManifestRow]:
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad manifest row: {exc}") from exc
+            row_id = rows[-1].row_id
+            if row_id in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate row id {row_id!r}, "
+                    f"first used on line {first_line[row_id]}"
+                )
+            first_line[row_id] = lineno
     return rows
 
 
@@ -160,9 +173,6 @@ def run_batch_eval(
     if not rows:
         raise ValueError(f"manifest {manifest_path} is empty")
 
-    lexicon = text_mod.load_lexicon(config.text.lexicon_path)
-    lemmas = text_mod.load_lemma_dictionary(config.text.lemmas_path)
-
     pipeline: Optional[Pipeline] = None
     if "fuzzy" in variants:
         pipeline_config = config
@@ -174,6 +184,10 @@ def run_batch_eval(
             pipeline_config.anchoring.ledger_path = str(Path(out_dir) / "audit" / "ledger.json")
             pipeline_config.anchoring.pending_path = str(Path(out_dir) / "audit" / "pending.json")
         pipeline = Pipeline(pipeline_config, clock=clock, metrics=metrics)
+    else:
+        lexicon = text_mod.load_lexicon(config.text.lexicon_path)
+        lemmas = text_mod.load_lemma_dictionary(config.text.lemmas_path)
+        asr = ManifestStubAsr()
 
     golds: List[str] = []
     predictions: Dict[str, List[str]] = {name: [] for name in (*variants, *ablations)}
@@ -185,44 +199,42 @@ def run_batch_eval(
             if not Path(row.audio).is_file():
                 skipped.append(row.row_id)
                 continue
-            buffer = audio_mod.load_wav(row.audio)
-            audio_result = audio_mod.audio_emotion(
-                buffer,
-                audio_mod.ArousalSmoother(alpha=config.audio.alpha_ema),
-                norm_factor=config.audio.norm_factor,
-                use_mfcc=config.audio.use_mfcc,
-                snr_block_size=config.audio.snr_block_size,
-                base_valence=config.audio.base_valence,
+            turn = TurnInput(
+                audio_path=row.audio,
+                transcript=row.transcript,
+                asr_confidence=row.asr_confidence,
+                session_id=row.row_id,
             )
-            text_result = text_mod.text_emotion(
-                row.transcript,
-                lexicon=lexicon,
-                lemma_dictionary=lemmas,
-                negation_markers=config.text.negation_markers,
-                intensifiers=config.text.intensifiers,
-            )
+            # Row ids are unique, so each fuzzy turn opens a fresh session
+            # whose smoother passes the raw arousal through, exactly like the
+            # fresh smoother of the channel-only path.
+            fuzzy_pred = None
+            if pipeline is not None:
+                result = pipeline.run_turn(turn)
+                audio_result, text_result = result.audio, result.text
+                fuzzy_pred = str(result.event["final"]["dominant"])
+            else:
+                smoother = audio_mod.ArousalSmoother(alpha=config.audio.alpha_ema)
+                _, _, audio_result, text_result = run_channels(
+                    turn, config, smoother, lexicon, lemmas, asr, lambda _stage: nullcontext()
+                )
 
+            linear_pred = None
             record: Dict[str, object] = {"id": row.row_id, "gold": row.label}
             for name in (*variants, *ablations):
-                if name == "text_only":
+                if name == "fuzzy":
+                    pred = fuzzy_pred
+                elif name == "text_only":
                     pred = dominant_emotion(text_result.probs)[0]
                 elif name == "audio_only":
                     pred = dominant_emotion(audio_result.probs)[0]
                 elif name in ("linear", "no_gating"):
-                    mixed = fuse_distributions(
-                        text_result.probs, audio_result.probs, row.asr_confidence
-                    )
-                    pred = dominant_emotion(mixed)[0]
-                elif name == "fuzzy":
-                    result = pipeline.run_turn(
-                        TurnInput(
-                            audio_path=row.audio,
-                            transcript=row.transcript,
-                            asr_confidence=row.asr_confidence,
-                            session_id=row.row_id,
+                    if linear_pred is None:
+                        mixed = fuse_distributions(
+                            text_result.probs, audio_result.probs, row.asr_confidence
                         )
-                    )
-                    pred = str(result.event["final"]["dominant"])
+                        linear_pred = dominant_emotion(mixed)[0]
+                    pred = linear_pred
                 else:
                     mixed = fuse_distributions(
                         text_result.probs, audio_result.probs, _ABLATION_WEIGHT[name]

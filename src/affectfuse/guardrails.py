@@ -10,13 +10,16 @@ returns the safe-handoff template.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import unicodedata
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence
-
-import requests
 
 from .core import dominant_emotion
 from .fusion import FusionOutcome
@@ -80,6 +83,29 @@ def evaluate_guardrails(
     return Escalation(triggered=bool(reasons), reasons=reasons, timestamp=timestamp)
 
 
+_WEBHOOK_SCHEMES = ("http", "https")
+
+
+class _WebhookRedirects(urllib.request.HTTPRedirectHandler):
+    """Follow a webhook's redirects only to http(s) URLs, and repeat the POST
+    with its body on 307 and 308 as HTTP asks; 301-303 still turn into GET.
+    """
+
+    http_error_308 = urllib.request.HTTPRedirectHandler.http_error_302  # not in 3.10
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if urllib.parse.urlsplit(newurl).scheme not in _WEBHOOK_SCHEMES:
+            raise urllib.error.HTTPError(newurl, code, msg, headers, fp)
+        if code in (307, 308):
+            return urllib.request.Request(
+                newurl, data=req.data, headers=req.headers, method=req.get_method()
+            )
+        return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+
+_WEBHOOK_OPENER = urllib.request.build_opener(_WebhookRedirects)
+
+
 def notify_escalation(
     escalation: Escalation,
     webhook_url: Optional[str],
@@ -102,14 +128,29 @@ def notify_escalation(
         "run_id": run_id,
     }
     try:
-        response = requests.post(webhook_url, json=payload, timeout=timeout)
-    except requests.RequestException:
+        # urllib also opens file:, data: and ftp: URLs, whose responses have
+        # no HTTP status.
+        if urllib.parse.urlsplit(webhook_url).scheme not in _WEBHOOK_SCHEMES:
+            raise ValueError(f"not an http(s) URL: {webhook_url!r}")
+        request = urllib.request.Request(
+            webhook_url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with _WEBHOOK_OPENER.open(request, timeout=timeout) as response:
+            status = response.status
+    except urllib.error.HTTPError as exc:  # a non-2xx answer
+        exc.close()
+        status = exc.code
+    except (OSError, ValueError, http.client.HTTPException):
+        # URLError, timeouts, resets, malformed replies and unusable URLs.
         log.warning("escalation webhook unreachable", exc_info=True)
         return STATUS_FAILED
-    if 200 <= response.status_code < 300:
+    if 200 <= status < 300:
         escalation.notified = True
         return STATUS_DELIVERED
-    log.warning("escalation webhook returned %s", response.status_code)
+    log.warning("escalation webhook returned %s", status)
     return STATUS_FAILED
 
 

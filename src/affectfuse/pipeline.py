@@ -16,7 +16,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Callable, ContextManager, Dict, Mapping, Optional, Protocol, Tuple
 
 from . import audio as audio_mod
 from . import text as text_mod
@@ -33,7 +33,7 @@ from .audit import (
     redact_pii,
 )
 from .config import PipelineConfig
-from .core import dominant_emotion
+from .core import EmotionResult, dominant_emotion
 from .fusion import MODE_FUZZY, adjust_asr_confidence, fuse
 from .fuzzy import RuleBase, load_rule_base
 from .guardrails import (
@@ -73,12 +73,16 @@ class TurnInput:
 
 @dataclass(frozen=True)
 class TurnResult:
+    """What a turn returns; ``audio`` and ``text`` are its channel outputs."""
+
     response: str
     event: Dict[str, object]
     txid: str
     canonical: bytes
     line_number: int
     anchor: AnchorRecord
+    audio: EmotionResult
+    text: EmotionResult
 
 
 class AsrAdapter(Protocol):
@@ -91,6 +95,46 @@ class ManifestStubAsr:
 
     def transcribe(self, buffer: audio_mod.AudioBuffer, turn: TurnInput) -> Tuple[str, float]:
         return turn.transcript, turn.asr_confidence
+
+
+def run_channels(
+    turn: TurnInput,
+    config: PipelineConfig,
+    smoother: audio_mod.ArousalSmoother,
+    lexicon: Mapping[str, text_mod.LexiconEntry],
+    lemmas: Mapping[str, str],
+    asr: AsrAdapter,
+    timed: Callable[[str], ContextManager[None]],
+) -> Tuple[str, float, EmotionResult, EmotionResult]:
+    """Decode the turn's WAV, transcribe it and score both channels.
+
+    Returns the transcript, the ASR confidence and the audio and text
+    results. This is the one channel code path: ``Pipeline`` runs it inside
+    every turn, and batch evaluation runs it directly when no fuzzy turn is
+    requested.
+    """
+    with timed("decode"):
+        buffer = audio_mod.load_wav(turn.audio_path)
+    with timed("asr"):
+        transcript, asr_conf = asr.transcribe(buffer, turn)
+    with timed("audio_emotion"):
+        audio_result = audio_mod.audio_emotion(
+            buffer,
+            smoother,
+            norm_factor=config.audio.norm_factor,
+            use_mfcc=config.audio.use_mfcc,
+            snr_block_size=config.audio.snr_block_size,
+            base_valence=config.audio.base_valence,
+        )
+    with timed("text_emotion"):
+        text_result = text_mod.text_emotion(
+            transcript,
+            lexicon=lexicon,
+            lemma_dictionary=lemmas,
+            negation_markers=config.text.negation_markers,
+            intensifiers=config.text.intensifiers,
+        )
+    return transcript, asr_conf, audio_result, text_result
 
 
 @dataclass
@@ -177,27 +221,9 @@ class Pipeline:
         session.turns += 1
         event_id = f"{cfg.run_id}/{turn.session_id}/{session.turns:06d}"
 
-        with self._timed("decode"):
-            buffer = audio_mod.load_wav(turn.audio_path)
-        with self._timed("asr"):
-            transcript, asr_conf = self.asr.transcribe(buffer, turn)
-        with self._timed("audio_emotion"):
-            audio_result = audio_mod.audio_emotion(
-                buffer,
-                session.smoother,
-                norm_factor=cfg.audio.norm_factor,
-                use_mfcc=cfg.audio.use_mfcc,
-                snr_block_size=cfg.audio.snr_block_size,
-                base_valence=cfg.audio.base_valence,
-            )
-        with self._timed("text_emotion"):
-            text_result = text_mod.text_emotion(
-                transcript,
-                lexicon=self.lexicon,
-                lemma_dictionary=self.lemmas,
-                negation_markers=cfg.text.negation_markers,
-                intensifiers=cfg.text.intensifiers,
-            )
+        transcript, asr_conf, audio_result, text_result = run_channels(
+            turn, cfg, session.smoother, self.lexicon, self.lemmas, self.asr, self._timed
+        )
 
         snr_db = float(audio_result.metadata["snr_db"])
         with self._timed("fusion"):
@@ -286,6 +312,8 @@ class Pipeline:
             canonical=canonical,
             line_number=line_number,
             anchor=anchor,
+            audio=audio_result,
+            text=text_result,
         )
 
     def _build_event(

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import enum
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,3 +136,147 @@ def test_number_form_is_a_fixed_point_for_any_finite_float(value):
     if "." in text:
         assert len(text.split(".", 1)[1]) <= 12
     assert canonical_number(float(text)) == text
+
+
+# --- the recursive emitter before the exact-type fast path, kept as an oracle ---
+
+
+def _oracle_fixed(value):
+    text = f"{value:.12f}"
+    text = text.rstrip("0").rstrip(".")
+    if text in ("", "-", "-0"):
+        return "0"
+    return text
+
+
+def _oracle_number(value):
+    if not math.isfinite(value):
+        raise CanonicalizationError(f"non-finite number: {value!r}")
+    text = _oracle_fixed(value)
+    for _ in range(32):
+        again = _oracle_fixed(float(text))
+        if again == text:
+            return text
+        text = again
+    raise CanonicalizationError(f"no stable decimal form for {value!r}")
+
+
+def _oracle_emit(value, out):
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(_oracle_number(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _oracle_emit(item, out)
+        out.append("]")
+    elif isinstance(value, dict):
+        keys = list(value.keys())
+        if any(not isinstance(k, str) for k in keys):
+            raise CanonicalizationError("object keys must be strings")
+        out.append("{")
+        for i, key in enumerate(sorted(keys)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(":")
+            _oracle_emit(value[key], out)
+        out.append("}")
+    else:
+        raise CanonicalizationError(f"unsupported type: {type(value).__name__}")
+
+
+def _oracle_canonicalize(value):
+    parts = []
+    _oracle_emit(value, parts)
+    return "".join(parts).encode("utf-8")
+
+
+def _outcome(function, value):
+    try:
+        return function(value)
+    except Exception as exc:  # the property compares exception types
+        return type(exc)
+
+
+class _Label(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+EDGE_FLOATS = [
+    -0.0, 1e-13, -1e-13, 5e-13, 123456789012.5, 4095.9999999999995, 4096.0,
+    float(2**53 - 1), float(2**53), float(2**53 + 2), 2.0**52 + 0.5,
+    math.nextafter(2.0**53, 0.0), 1e20, -1e300, 5e-324, float("nan"),
+    float("inf"), float("-inf"),
+]
+
+floats = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    # full 53-bit mantissas from 2**7 to 2**48, where the fixed-point loop
+    # starts to need a second round
+    st.builds(math.ldexp, st.integers(min_value=2**52, max_value=2**53 - 1),
+              st.integers(min_value=-45, max_value=-5)),
+    st.sampled_from(EDGE_FLOATS),
+)
+strings = st.one_of(
+    st.text(st.characters(codec=None, categories=None), max_size=12),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "ñandú", "\U0001f600", "\ud800", "a\u2028b"]),
+).flatmap(lambda s: st.sampled_from([s, _Label(s)]))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    floats,
+    floats.map(np.float64),
+    strings,
+    st.sampled_from([_Level.LOW, {1, 2}, b"bytes", np.int64(3)]),
+)
+keys = st.one_of(strings, strings, st.integers(), st.none(), st.just((1, 2)))
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(strings, children, max_size=5),
+    ),
+    max_leaves=24,
+)
+
+
+@given(values)
+@settings(max_examples=600, deadline=None)
+def test_canonicalize_matches_recursive_oracle(value):
+    expected = _outcome(_oracle_canonicalize, value)
+    got = _outcome(canonicalize, value)
+    assert got == expected
+
+
+@given(st.one_of(floats, floats.map(np.float64)))
+@settings(max_examples=600, deadline=None)
+def test_canonical_number_matches_iterated_oracle(value):
+    assert _outcome(canonical_number, value) == _outcome(_oracle_number, value)
+
+
+def test_oracle_edge_values_match():
+    for value in EDGE_FLOATS:
+        for form in (value, np.float64(value), [value], {"v": (value,)}):
+            assert _outcome(canonicalize, form) == _outcome(_oracle_canonicalize, form), form

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from affectfuse import audio as audio_mod
+from affectfuse import text as text_mod
 from affectfuse.core import LABELS
 from affectfuse.corpus import generate_synthetic_corpus
-from affectfuse.evaluate import classification_metrics, load_manifest, run_batch_eval
+from affectfuse.evaluate import (
+    ABLATIONS,
+    VARIANTS,
+    classification_metrics,
+    load_manifest,
+    run_batch_eval,
+)
 
 from conftest import make_test_config
 
@@ -171,3 +180,71 @@ def test_manifest_accepts_spanish_labels(tmp_path):
     )
     rows = load_manifest(str(path))
     assert rows[0].label == "joy"
+
+
+def test_duplicate_row_id_names_both_lines(tmp_path):
+    row = {"id": "r1", "audio": "x.wav", "transcript": "t", "asr_confidence": 0.5, "label": "joy"}
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        "\n".join([json.dumps(row), "", json.dumps({**row, "label": "fear"})]) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"m\.jsonl:3: duplicate row id 'r1', first used on line 1"):
+        load_manifest(str(path))
+
+
+def test_no_gating_reuses_linear(tmp_path, small_corpus, pinned_clock):
+    report = run_batch_eval(
+        str(small_corpus),
+        make_test_config(tmp_path),
+        variants=("linear",),
+        ablations=ABLATIONS,
+        clock=pinned_clock,
+    )
+    assert report["ablations"]["no_gating"] == report["variants"]["linear"]
+
+
+#: SHA-256 of the id-sorted predictions of every variant and ablation on the
+#: seed-424, 24-row corpus, recorded while evaluate still ran the channels
+#: itself next to the pipeline; reusing the fuzzy turn's outputs must not move it.
+SMALL_CORPUS_PREDICTIONS_SHA256 = "d1762ff12dc4e83f7803488b8065ea0c7fdf4ebd82bc1119ed781fafd0190911"
+
+
+def test_predictions_digest_pinned(tmp_path, small_corpus, pinned_clock):
+    report = run_batch_eval(
+        str(small_corpus), make_test_config(tmp_path), VARIANTS, ABLATIONS,
+        out_dir=str(tmp_path / "out"), clock=pinned_clock,
+    )
+    rows = sorted(report["predictions"], key=lambda row: row["id"])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == SMALL_CORPUS_PREDICTIONS_SHA256
+
+
+@pytest.mark.parametrize(
+    "variants, ablations",
+    [(VARIANTS, ABLATIONS), (("text_only", "linear"), ()), (("fuzzy",), ())],
+    ids=["all", "no_fuzzy", "fuzzy_only"],
+)
+def test_each_row_runs_each_channel_once(tmp_path, small_corpus, pinned_clock, monkeypatch,
+                                         variants, ablations):
+    calls = {"load_wav": 0, "audio_emotion": 0, "text_emotion": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(audio_mod, "load_wav")
+    counting(audio_mod, "audio_emotion")
+    counting(text_mod, "text_emotion")
+    report = run_batch_eval(
+        str(small_corpus), make_test_config(tmp_path), variants, ablations,
+        out_dir=str(tmp_path / "out"), clock=pinned_clock,
+    )
+    rows = report["rows"]
+    assert rows == 24
+    assert calls == {"load_wav": rows, "audio_emotion": rows, "text_emotion": rows}

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -18,6 +20,7 @@ from affectfuse.guardrails import (
     notify_escalation,
     plan_response,
     Escalation,
+    _WebhookRedirects,
 )
 
 TEMPLATES = load_templates()
@@ -74,11 +77,17 @@ def test_triggered_iff_reasons():
 class _Hook(BaseHTTPRequestHandler):
     status = 200
     received = []
+    moved = None  # (status, location) answered on /moved
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        type(self).received.append(json.loads(self.rfile.read(length)))
-        self.send_response(type(self).status)
+        body = json.loads(self.rfile.read(length))
+        if self.path == "/moved":
+            self.send_response(type(self).moved[0])
+            self.send_header("Location", type(self).moved[1])
+        else:
+            type(self).received.append(body)
+            self.send_response(type(self).status)
         self.end_headers()
 
     def log_message(self, *args):
@@ -88,6 +97,7 @@ class _Hook(BaseHTTPRequestHandler):
 @pytest.fixture
 def webhook_server():
     _Hook.received = []
+    _Hook.moved = None
     server = HTTPServer(("127.0.0.1", 0), _Hook)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -123,6 +133,33 @@ def test_notify_failed_on_500(webhook_server):
 def test_notify_failed_on_unreachable():
     esc = Escalation(triggered=True, reasons=["x"])
     assert notify_escalation(esc, "http://127.0.0.1:1/none", timeout=0.2) == STATUS_FAILED
+
+
+@pytest.mark.parametrize("code", [307, 308])
+def test_notify_repeats_post_on_redirect(webhook_server, code):
+    _Hook.status = 200
+    _Hook.moved = (code, "/hook")
+    esc = Escalation(triggered=True, reasons=["fear>0.7"], timestamp="t0")
+    url = f"http://127.0.0.1:{webhook_server.server_address[1]}/moved"
+    assert notify_escalation(esc, url, txid="cd" * 32, run_id="r2") == STATUS_DELIVERED
+    assert _Hook.received == [{"txid": "cd" * 32, "reasons": ["fear>0.7"], "timestamp": "t0", "run_id": "r2"}]
+
+
+@pytest.mark.parametrize("location", ["ftp://127.0.0.1/hook", "file:///dev/null"])
+def test_redirect_off_http_refused(location):
+    # urllib follows redirects to ftp:, whose responses carry no HTTP status.
+    request = urllib.request.Request("http://127.0.0.1/moved", data=b"{}", method="POST")
+    with pytest.raises(urllib.error.HTTPError):
+        _WebhookRedirects().redirect_request(request, None, 307, "Temporary Redirect", {}, location)
+
+
+@pytest.mark.parametrize(
+    "url", ["not a url", "ftp-nope://host/hook", "http://[::1", "data:,x", "file:///dev/null"]
+)
+def test_notify_failed_on_unusable_url(url):
+    esc = Escalation(triggered=True, reasons=["x"])
+    assert notify_escalation(esc, url, timeout=0.2) == STATUS_FAILED
+    assert esc.notified is False
 
 
 def test_plain_template_on_confident_joy():
