@@ -4,7 +4,8 @@ Synthesizes a short audio turn, runs the full pipeline (audio + text
 emotion, fuzzy-weighted fusion, guardrails, templated response), seals the
 explanation into a canonical audit event, anchors its SHA-256 txid in the
 simulated ledger, and then plays the independent verifier: first against the
-untouched event, then after flipping a single byte.
+untouched event, then after flipping a single byte. Last, `affectfuse explain`
+rebuilds the turn's explainability files from its sealed audit line.
 """
 
 import tempfile
@@ -14,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from affectfuse import PipelineConfig, Pipeline, TurnInput
+from affectfuse import Pipeline, TurnInput, load_config
 from affectfuse.audit import verify_anchorage
+from affectfuse.cli import main as cli
 
 workdir = Path(tempfile.mkdtemp(prefix="affectfuse-demo-"))
 print(f"working under {workdir}")
@@ -31,12 +33,19 @@ with wave.open(str(wav_path), "wb") as handle:
     handle.setframerate(rate)
     handle.writeframes(np.round(samples * 32767).astype("<i2").tobytes())
 
-config = PipelineConfig()
-config.audit.log_path = str(workdir / "audit" / "events.jsonl")
-config.audit.artifacts_dir = str(workdir / "audit" / "fired_rules")
-config.anchoring.ledger_path = str(workdir / "audit" / "ledger.json")
-config.anchoring.pending_path = str(workdir / "audit" / "pending.json")
-config.anchoring.block_interval = 0.5
+# relative paths in a config file resolve against the file's directory
+config_path = workdir / "app.yaml"
+config_path.write_text(
+    "audit:\n"
+    "  log_path: audit/events.jsonl\n"
+    "  artifacts_dir: audit/fired_rules\n"
+    "anchoring:\n"
+    "  ledger_path: audit/ledger.json\n"
+    "  pending_path: audit/pending.json\n"
+    "  block_interval: 0.5\n",
+    encoding="utf-8",
+)
+config = load_config(str(config_path))
 
 with Pipeline(config) as pipeline:
     result = pipeline.run_turn(
@@ -69,5 +78,12 @@ with Pipeline(config) as pipeline:
     verdict = verify_anchorage(bytes(tampered), result.txid, pipeline.ledger)
     print(f"verify after 1-byte flip -> {verdict.kind}")
 
+# the turn wrote no explainability files; explain rebuilds them from the
+# sealed line, after checking that the line still hashes to the txid
 print()
+log = workdir / "audit" / "events.jsonl"
+explain = ["--config", str(config_path), "explain", "--event", str(log),
+           "--line", str(result.line_number), "--txid", result.txid]
+if cli(explain) != 0:
+    raise SystemExit("explain failed")
 print(f"explainability artifacts: {sorted(p.name for p in (workdir / 'audit' / 'fired_rules').iterdir())}")

@@ -51,11 +51,10 @@ from .fuzzy import (
     evaluate_rules,
     infer_w_text,
     load_rule_base,
-    membership,
 )
 from .guardrails import Escalation, evaluate_guardrails, notify_escalation, plan_response
 from .metrics import MetricsRegistry, export_metrics, serve_metrics
-from .pipeline import Pipeline, TurnInput, TurnResult, run_pipeline
+from .pipeline import Pipeline, TurnInput, TurnResult
 from .text import (
     LexiconEntry,
     TextAnalysis,

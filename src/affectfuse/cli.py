@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze (single turn), batch-eval, gen-corpus, verify,
-anchor-status, metrics-serve. Exit codes: 0 ok, 1 configuration error,
-2 verification failure, 3 runtime error.
+explain (rebuild a sealed turn's explainability files), anchor-status,
+metrics-serve. Exit codes: 0 ok, 1 configuration error, 2 verification
+failure, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -14,13 +15,20 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .audit import SimulatedLedger, read_event_line, verify_anchorage
+from .audit import (
+    SimulatedLedger,
+    compute_txid,
+    parse_canonical,
+    read_event_line,
+    verify_anchorage,
+)
 from .audit.ledger import VERDICT_VERIFIED, AnchorError
 from .config import ConfigError, load_config
 from .corpus import generate_synthetic_corpus
 from .evaluate import VARIANTS, run_batch_eval
+from .fuzzy import load_rule_base
 from .metrics import export_metrics, serve_metrics
-from .pipeline import Pipeline, TurnInput
+from .pipeline import Pipeline, TurnInput, explain_event
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,9 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise-levels", default=None, help="comma-separated dB levels")
 
     verify = commands.add_parser("verify", help="verify a stored event against the ledger")
-    verify.add_argument("--event", required=True, help="event file (canonical bytes) or JSONL log")
-    verify.add_argument("--line", type=int, default=None, help="line number when --event is a JSONL log")
-    verify.add_argument("--txid", required=True)
+    _add_event_arguments(verify)
+
+    explain = commands.add_parser(
+        "explain", help="write a stored fuzzy event's explainability files to audit.artifacts_dir"
+    )
+    _add_event_arguments(explain)
 
     status = commands.add_parser("anchor-status", help="anchoring status of a txid")
     status.add_argument("--txid", required=True)
@@ -67,6 +78,20 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--hold", type=float, default=None, help="seconds to keep serving (default: forever)")
 
     return parser
+
+
+def _add_event_arguments(command: argparse.ArgumentParser) -> None:
+    command.add_argument("--event", required=True, help="event file (canonical bytes) or JSONL log")
+    command.add_argument("--line", type=int, default=None, help="line number when --event is a JSONL log")
+    command.add_argument("--txid", required=True)
+
+
+def _read_event(args) -> bytes:
+    """The stored event bytes named by ``--event`` and ``--line``."""
+    if args.line is not None:
+        return read_event_line(args.event, args.line)
+    event_bytes = Path(args.event).read_bytes()
+    return event_bytes[:-1] if event_bytes.endswith(b"\n") else event_bytes
 
 
 def _open_ledger(config, readonly_ok: bool = True) -> Optional[SimulatedLedger]:
@@ -153,15 +178,24 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    if args.line is not None:
-        event_bytes = read_event_line(args.event, args.line)
-    else:
-        event_bytes = Path(args.event).read_bytes()
-        if event_bytes.endswith(b"\n"):
-            event_bytes = event_bytes[:-1]
-    verdict = verify_anchorage(event_bytes, args.txid, _open_ledger(config))
+    verdict = verify_anchorage(_read_event(args), args.txid, _open_ledger(config))
     print(json.dumps(verdict.as_dict(), indent=2))
     return EXIT_OK if verdict.kind == VERDICT_VERIFIED else EXIT_VERIFY
+
+
+def _cmd_explain(args, config) -> int:
+    event_bytes = _read_event(args)
+    if compute_txid(event_bytes) != args.txid:
+        print(f"event bytes do not hash to txid {args.txid}; nothing written", file=sys.stderr)
+        return EXIT_VERIFY
+    paths = explain_event(
+        parse_canonical(event_bytes),
+        args.txid,
+        load_rule_base(config.fusion.rule_base_path),
+        config.audit.artifacts_dir,
+    )
+    print(json.dumps({"txid": args.txid, "files": [str(path) for path in paths]}, indent=2))
+    return EXIT_OK
 
 
 def _cmd_anchor_status(args, config) -> int:
@@ -209,6 +243,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_gen_corpus(args)
         if args.command == "verify":
             return _cmd_verify(args, config)
+        if args.command == "explain":
+            return _cmd_explain(args, config)
         if args.command == "anchor-status":
             return _cmd_anchor_status(args, config)
         if args.command == "metrics-serve":

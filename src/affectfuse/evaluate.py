@@ -180,7 +180,6 @@ def run_batch_eval(
             # Keep the evaluation self-contained: audit output lands in out_dir.
             pipeline_config = copy.deepcopy(config)
             pipeline_config.audit.log_path = str(Path(out_dir) / "audit" / "events.jsonl")
-            pipeline_config.audit.artifacts_dir = str(Path(out_dir) / "audit" / "fired_rules")
             pipeline_config.anchoring.ledger_path = str(Path(out_dir) / "audit" / "ledger.json")
             pipeline_config.anchoring.pending_path = str(Path(out_dir) / "audit" / "pending.json")
         pipeline = Pipeline(pipeline_config, clock=clock, metrics=metrics)

@@ -69,11 +69,6 @@ class MembershipFunction:
         return y
 
 
-def membership(mf: MembershipFunction, x: float) -> float:
-    """Piecewise-linear membership degree of x, in [0, 1]."""
-    return mf(float(x))
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     name: str
@@ -127,6 +122,19 @@ class FuzzyTrace:
             "fired_rules": [rule.as_dict() for rule in self.fired_rules],
             "out_sets": dict(self.out_sets),
         }
+
+    @classmethod
+    def from_dict(cls, block: Mapping[str, object], w_text: float) -> "FuzzyTrace":
+        """Inverse of ``as_dict``; the block does not carry the crisp weight."""
+        return cls(
+            inputs=dict(block["inputs"]),
+            fired_rules=tuple(
+                FiredRule(tuple(rule["if"]), rule["then"], rule["strength"])
+                for rule in block["fired_rules"]
+            ),
+            out_sets=dict(block["out_sets"]),
+            w_text=w_text,
+        )
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Stage order: ASR adapter (stub) -> audio emotion -> text emotion -> ASR
 confidence adjustment (measured SNR) -> fusion -> guardrails -> response ->
-PII redaction -> canonicalization -> txid -> audit append -> explainability
-artifact -> asynchronous anchoring. The turn returns after the audit append;
-anchoring may still be pending. A fuzzy-engine failure is not an error (the
-fusion falls back to linear weighting); a failed audit append is fatal for
-the turn.
+PII redaction -> canonicalization -> txid -> audit append -> escalation ->
+asynchronous anchoring. The turn returns after the audit append; anchoring
+may still be pending. A fuzzy-engine failure is not an error (the fusion
+falls back to linear weighting); a failed audit append is fatal for the turn.
+
+A turn writes no explainability files: ``explain_event`` rebuilds them on
+demand from the ``fusion_fuzzy`` block of the sealed audit line.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, ContextManager, Dict, Mapping, Optional, Protocol, Tuple
+from pathlib import Path
+from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from . import audio as audio_mod
 from . import text as text_mod
@@ -24,7 +27,6 @@ from .audit import (
     CANONICAL_VERSION,
     AnchorRecord,
     AuditLog,
-    ExportError,
     SimulatedLedger,
     anchor_txid,
     canonicalize,
@@ -32,10 +34,10 @@ from .audit import (
     export_explainability_artifact,
     redact_pii,
 )
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .core import EmotionResult, dominant_emotion
 from .fusion import MODE_FUZZY, adjust_asr_confidence, fuse
-from .fuzzy import RuleBase, load_rule_base
+from .fuzzy import FuzzyTrace, RuleBase, load_rule_base
 from .guardrails import (
     evaluate_guardrails,
     load_keywords,
@@ -279,28 +281,23 @@ class Pipeline:
             canonical = canonicalize(event)
             txid = compute_txid(canonical)
             line_number = self.audit_log.append(canonical)
-            if outcome.mode == MODE_FUZZY and outcome.trace is not None:
-                try:
-                    export_explainability_artifact(
-                        outcome.trace, txid, self.rule_base, cfg.audit.artifacts_dir
-                    )
-                except ExportError:
-                    self._errors.inc(stage="artifact_export")
 
         # The webhook payload needs the txid, so notification happens after
         # the event is sealed; the stored escalation block therefore records
         # the pre-notification state.
         if escalation.triggered:
-            status = notify_escalation(
-                escalation,
-                cfg.guardrails.escalation_webhook,
-                txid=txid,
-                run_id=cfg.run_id,
-            )
+            with self._timed("escalation"):
+                status = notify_escalation(
+                    escalation,
+                    cfg.guardrails.escalation_webhook,
+                    txid=txid,
+                    run_id=cfg.run_id,
+                )
             if status == "failed":
                 self._errors.inc(stage="escalation_webhook")
 
-        anchor = anchor_txid(txid, self.ledger, enabled=cfg.anchoring.enabled)
+        with self._timed("anchor_submit"):
+            anchor = anchor_txid(txid, self.ledger, enabled=cfg.anchoring.enabled)
 
         self._snr_gauge.set(snr_db)
         self._coherence_gauge.set(outcome.coherence)
@@ -376,15 +373,26 @@ class Pipeline:
         self.close()
 
 
-def run_pipeline(
-    turn: TurnInput,
-    config: PipelineConfig,
-    pipeline: Optional[Pipeline] = None,
-) -> Tuple[str, Dict[str, object], AnchorRecord]:
-    """One-shot convenience wrapper; prefer a long-lived Pipeline."""
-    if pipeline is not None:
-        result = pipeline.run_turn(turn)
-        return result.response, result.event, result.anchor
-    with Pipeline(config) as transient:
-        result = transient.run_turn(turn)
-        return result.response, result.event, result.anchor
+def explain_event(
+    event: Mapping[str, object], txid: str, rule_base: RuleBase, output_dir: str
+) -> List[Path]:
+    """Write ``<txid>.json/.csv/.ppm`` for a sealed event; returns the paths.
+
+    The trace is rebuilt from the ``fusion_fuzzy`` block and ``weights.w_text``
+    that ``Pipeline._build_event`` sealed. The event's ``rule_base`` label must
+    name ``rule_base``, whose membership functions fill the condition matrix.
+    The caller checks that ``txid`` is the hash of the line the event came
+    from. JSON and CSV match the live turn's export byte for byte. Sealed
+    numbers keep 12 fractional digits, so where ``255 * value`` falls next to
+    a .5 boundary a PPM cell can round one grey level away from the live one.
+    """
+    block = event.get("fusion_fuzzy")
+    if block is None:
+        raise ValueError(f"event {txid} has no fusion_fuzzy block (mode {event.get('mode')!r})")
+    if event.get("rule_base") != rule_base.rule_base_id:
+        raise ConfigError(
+            f"event {txid} was inferred with rule base {event.get('rule_base')!r}, "
+            f"but the configured rule base is {rule_base.rule_base_id!r}"
+        )
+    trace = FuzzyTrace.from_dict(block, w_text=event["weights"]["w_text"])
+    return export_explainability_artifact(trace, txid, rule_base, output_dir)

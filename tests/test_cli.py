@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +191,99 @@ def test_metrics_serve_smoke(workspace, capsys, tmp_path):
     assert "pipeline_stage_latency_seconds" in text
     thread.join(timeout=6.0)
     assert holder.get("code") == EXIT_OK
+
+
+EMPTY_RULE_BASE = """
+id: empty
+variables:
+  asr_conf: {domain: [0, 1], sets: {low: [0, 0, 0.3, 0.5]}}
+  arousal: {domain: [0, 1], sets: {low: [0, 0, 0.2, 0.4]}}
+  valence: {domain: [-1, 1], sets: {neu: [-0.25, -0.05, 0.05, 0.25]}}
+output: {name: w_text, domain: [0, 1], sets: {mid: [0, 0.5, 0.5, 1]}}
+rules: []
+"""
+
+
+def with_rule_base(config: str, rule_base_text: str, name: str) -> str:
+    """A copy of the workspace config whose fusion uses the given rule base."""
+    base = Path(config).parent
+    (base / f"{name}.rules.yaml").write_text(rule_base_text, encoding="utf-8")
+    copy = base / f"{name}.yaml"
+    copy.write_text(
+        Path(config).read_text(encoding="utf-8") + f"fusion:\n  rule_base_path: {name}.rules.yaml\n",
+        encoding="utf-8",
+    )
+    return str(copy)
+
+
+def analyze(config: str, wav: str, capsys) -> dict:
+    code = main([
+        "--config", config, "analyze",
+        "--audio", wav, "--transcript", "hoy estoy muy feliz",
+        "--asr-confidence", "0.9",
+    ])
+    assert code == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def explain(config: str, log: Path, txid: str, line: int = 1) -> int:
+    return main(["--config", config, "explain", "--event", str(log), "--line", str(line), "--txid", txid])
+
+
+def written(tmp_path) -> list:
+    artifacts = tmp_path / "audit" / "fired_rules"
+    return sorted(p.name for p in artifacts.iterdir()) if artifacts.exists() else []
+
+
+def test_explain_writes_the_files_of_a_sealed_turn(workspace, capsys):
+    tmp_path, config, wav = workspace
+    txid = analyze(config, wav, capsys)["txid"]
+    assert written(tmp_path) == []
+    assert explain(config, tmp_path / "audit" / "events.jsonl", txid) == EXIT_OK
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert [Path(f).parent for f in files] == [tmp_path / "audit" / "fired_rules"] * 3
+    assert written(tmp_path) == sorted(f"{txid}{suffix}" for suffix in (".json", ".csv", ".ppm"))
+    payload = json.loads((tmp_path / "audit" / "fired_rules" / f"{txid}.json").read_text())
+    assert payload["txid"] == txid
+
+
+def test_explain_refuses_a_line_that_does_not_hash_to_the_txid(workspace, capsys):
+    tmp_path, config, wav = workspace
+    txid = analyze(config, wav, capsys)["txid"]
+    log = tmp_path / "audit" / "events.jsonl"
+    data = bytearray(log.read_bytes())
+    data[10] ^= 0x01
+    log.write_bytes(bytes(data))
+    assert explain(config, log, txid) == EXIT_VERIFY
+    assert "do not hash to txid" in capsys.readouterr().err
+    assert written(tmp_path) == []
+
+
+def test_explain_past_the_last_line_is_a_runtime_error(workspace, capsys):
+    tmp_path, config, wav = workspace
+    txid = analyze(config, wav, capsys)["txid"]
+    assert explain(config, tmp_path / "audit" / "events.jsonl", txid, line=2) == EXIT_RUNTIME
+    assert "has no line 2" in capsys.readouterr().err
+    assert written(tmp_path) == []
+
+
+def test_explain_a_linear_fallback_event_is_a_runtime_error(workspace, capsys):
+    tmp_path, config, wav = workspace
+    config = with_rule_base(config, EMPTY_RULE_BASE, "empty")
+    summary = analyze(config, wav, capsys)
+    assert summary["mode"] == "linear_fallback"
+    assert explain(config, tmp_path / "audit" / "events.jsonl", summary["txid"]) == EXIT_RUNTIME
+    assert "no fusion_fuzzy block" in capsys.readouterr().err
+    assert written(tmp_path) == []
+
+
+def test_explain_with_another_rule_base_is_a_config_error(workspace, capsys):
+    tmp_path, config, wav = workspace
+    txid = analyze(config, wav, capsys)["txid"]
+    default = resources.files("affectfuse.data").joinpath("rules_default.yaml").read_text(encoding="utf-8")
+    assert "id: default-r1r4\n" in default
+    other = with_rule_base(config, default.replace("id: default-r1r4\n", "id: other\n"), "other")
+    assert explain(other, tmp_path / "audit" / "events.jsonl", txid) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'default-r1r4'" in err and "'other'" in err
+    assert written(tmp_path) == []

@@ -14,7 +14,6 @@ from affectfuse.fuzzy import (
     evaluate_rules,
     infer_w_text,
     load_rule_base,
-    membership,
     parse_rule_base,
 )
 
@@ -51,19 +50,19 @@ def oracle_centroid(out_sets, output, points=1_000_000):
 
 def test_membership_matches_published_high_ramp():
     high = TRACE_BASE.variables["asr_conf"].sets["high"]
-    assert membership(high, 0.9582073547) == pytest.approx(0.9164147095, abs=1e-9)
-    assert membership(high, GOLDEN_INPUTS[0]) == pytest.approx(GOLDEN_HIGH, abs=1e-6)
+    assert high(0.9582073547) == pytest.approx(0.9164147095, abs=1e-9)
+    assert high(GOLDEN_INPUTS[0]) == pytest.approx(GOLDEN_HIGH, abs=1e-6)
 
 
 def test_membership_zero_at_left_foot():
     mf = MembershipFunction(0.1, 0.3, 0.6, 0.9)
-    assert membership(mf, 0.1) == 0.0
-    assert membership(mf, 0.9) == 0.0
+    assert mf(0.1) == 0.0
+    assert mf(0.9) == 0.0
 
 
 def test_membership_plateau_is_one():
     neu = TRACE_BASE.variables["valence"].sets["neu"]
-    assert membership(neu, 0.02) == 1.0
+    assert neu(0.02) == 1.0
 
 
 def test_membership_ordering_validated():
@@ -79,7 +78,7 @@ def test_membership_ordering_validated():
 def test_membership_properties(points, x):
     a, b, c, d = sorted(points)
     mf = MembershipFunction(a, b, c, d)
-    mu = membership(mf, x)
+    mu = mf(x)
     assert 0.0 <= mu <= 1.0
     if x < a or x > d:
         assert mu == 0.0
@@ -95,10 +94,10 @@ def test_membership_monotone_on_ramps(data):
     mf = MembershipFunction(*pts)
     x1 = data.draw(st.floats(min_value=pts[0], max_value=pts[1], allow_nan=False))
     x2 = data.draw(st.floats(min_value=x1, max_value=pts[1], allow_nan=False))
-    assert membership(mf, x2) >= membership(mf, x1) - 1e-12
+    assert mf(x2) >= mf(x1) - 1e-12
     y1 = data.draw(st.floats(min_value=pts[2], max_value=pts[3], allow_nan=False))
     y2 = data.draw(st.floats(min_value=y1, max_value=pts[3], allow_nan=False))
-    assert membership(mf, y2) <= membership(mf, y1) + 1e-12
+    assert mf(y2) <= mf(y1) + 1e-12
 
 
 # --- rule evaluation --------------------------------------------------------

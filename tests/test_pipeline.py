@@ -6,9 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from affectfuse.audit import AuditWriteError, compute_txid
+from affectfuse import pipeline as pipeline_mod
+from affectfuse.audit import (
+    AuditWriteError,
+    compute_txid,
+    export_explainability_artifact,
+    parse_canonical,
+    read_event_line,
+)
+from affectfuse.audit import artifacts as artifacts_mod
+from affectfuse.corpus import generate_synthetic_corpus
+from affectfuse.evaluate import load_manifest
 from affectfuse.metrics import MetricsRegistry
-from affectfuse.pipeline import Pipeline, TurnInput, run_pipeline
+from affectfuse.pipeline import Pipeline, TurnInput, explain_event
 
 from conftest import make_test_config, sine_buffer, write_wav
 
@@ -33,6 +43,43 @@ def wav_path(tmp_path):
 
 def turn(wav_path, transcript="hoy estoy muy feliz", conf=0.9, session="s1"):
     return TurnInput(audio_path=wav_path, transcript=transcript, asr_confidence=conf, session_id=session)
+
+
+@pytest.fixture
+def outcomes(monkeypatch):
+    """Every turn's FusionOutcome, in turn order, as the pipeline saw it."""
+    seen = []
+    fuse = pipeline_mod.fuse
+
+    def capture(*args, **kwargs):
+        seen.append(fuse(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline_mod, "fuse", capture)
+    return seen
+
+
+def ppm_levels(path):
+    """Header and pixel bytes of a binary PPM written by the exporter."""
+    data = path.read_bytes()
+    header_end = data.index(b"\n255\n") + len(b"\n255\n")
+    return data[:header_end], np.frombuffer(data[header_end:], dtype=np.uint8).astype(int)
+
+
+def assert_rebuilt_like_live(result, trace, rule_base, rebuilt_dir, live_dir):
+    """Files rebuilt from the sealed line against the live trace's export."""
+    event = parse_canonical(result.canonical)
+    rebuilt = explain_event(event, result.txid, rule_base, str(rebuilt_dir))
+    live = export_explainability_artifact(trace, result.txid, rule_base, str(live_dir))
+    assert [p.name for p in rebuilt] == [p.name for p in live]
+    for suffix in (".json", ".csv"):
+        name = f"{result.txid}{suffix}"
+        assert (rebuilt_dir / name).read_bytes() == (live_dir / name).read_bytes(), name
+    header, pixels = ppm_levels(rebuilt_dir / f"{result.txid}.ppm")
+    live_header, live_pixels = ppm_levels(live_dir / f"{result.txid}.ppm")
+    assert header == live_header
+    # sealed numbers keep 12 digits: a cell next to a .5 boundary may round one level apart
+    assert np.abs(pixels - live_pixels).max() <= 1
 
 
 def test_event_carries_every_stored_field(tmp_path, wav_path, pinned_clock):
@@ -131,6 +178,8 @@ def test_escalation_block_in_same_turn(tmp_path, wav_path, pinned_clock):
     assert event["escalation"]["triggered"] is True
     assert any(r.startswith("keyword:") for r in event["escalation"]["reasons"])
     assert result.response == pipeline.templates["handoff"]
+    latency = pipeline.metrics.histogram("pipeline_stage_latency_seconds")
+    assert latency.count(stage="escalation") == 1
 
 
 def test_transcript_redacted_before_hashing(tmp_path, wav_path, pinned_clock):
@@ -160,7 +209,9 @@ def test_metrics_populated_after_turn(tmp_path, wav_path, pinned_clock):
     text = registry.render()
     assert 'audio_snr_db{model_size="stub",run_id="local"}' in text
     assert "cross_modal_coherence" in text
-    for stage in ("decode", "asr", "audio_emotion", "text_emotion", "fusion", "guardrails", "audit"):
+    stages = ("decode", "asr", "audio_emotion", "text_emotion", "fusion", "guardrails", "audit",
+              "anchor_submit")
+    for stage in stages:
         assert f'stage="{stage}"' in text
 
 
@@ -201,20 +252,70 @@ def test_anchoring_enabled_submits(tmp_path, wav_path, pinned_clock):
     assert record.gas_used == 47000
 
 
-def test_artifacts_written_per_fuzzy_turn(tmp_path, wav_path, pinned_clock):
+def test_artifacts_written_per_fuzzy_turn(tmp_path, wav_path, pinned_clock, outcomes):
+    # A turn writes no artifact files; explain rebuilds them from its sealed line.
     config = make_test_config(tmp_path)
     with Pipeline(config, clock=pinned_clock) as pipeline:
         result = pipeline.run_turn(turn(wav_path))
+        rule_base = pipeline.rule_base
     base = tmp_path / "audit" / "fired_rules"
-    for suffix in (".json", ".csv", ".ppm"):
-        assert (base / f"{result.txid}{suffix}").exists()
+    assert not base.exists() or not any(base.iterdir())
+    (outcome,) = outcomes
+    assert outcome.mode == "fuzzy"
+    line = read_event_line(config.audit.log_path, result.line_number)
+    assert line == result.canonical
+    assert_rebuilt_like_live(result, outcome.trace, rule_base, base, tmp_path / "live")
     payload = json.loads((base / f"{result.txid}.json").read_text())
     assert payload["txid"] == result.txid
 
 
-def test_run_pipeline_convenience(tmp_path, wav_path):
+def test_fuzzy_turn_canonicalizes_once(tmp_path, wav_path, pinned_clock, monkeypatch):
+    calls = []
+
+    def counting(module):
+        original = module.canonicalize
+
+        def canonicalize(value):
+            calls.append(module.__name__)
+            return original(value)
+
+        monkeypatch.setattr(module, "canonicalize", canonicalize)
+
+    counting(pipeline_mod)
+    counting(artifacts_mod)
     config = make_test_config(tmp_path)
-    response, event, anchor = run_pipeline(turn(wav_path), config)
+    with Pipeline(config, clock=pinned_clock) as pipeline:
+        result = pipeline.run_turn(turn(wav_path))
+    assert result.event["mode"] == "fuzzy"
+    assert calls == ["affectfuse.pipeline"]
+
+
+def test_explain_matches_live_export_over_a_corpus(tmp_path, pinned_clock, outcomes):
+    manifest = generate_synthetic_corpus(str(tmp_path / "corpus"), seed=424, size=24)
+    config = make_test_config(tmp_path)
+    fuzzy_rows = 0
+    with Pipeline(config, clock=pinned_clock) as pipeline:
+        for row in load_manifest(str(manifest)):
+            result = pipeline.run_turn(
+                TurnInput(row.audio, row.transcript, row.asr_confidence, session_id=row.row_id)
+            )
+            outcome = outcomes[-1]
+            if outcome.trace is None:
+                assert "fusion_fuzzy" not in result.event
+                continue
+            fuzzy_rows += 1
+            assert_rebuilt_like_live(
+                result, outcome.trace, pipeline.rule_base, tmp_path / "rebuilt", tmp_path / "live"
+            )
+    assert fuzzy_rows >= 20
+
+
+def test_run_pipeline_convenience(tmp_path, wav_path):
+    # One turn from a transient pipeline: the context manager closes it.
+    config = make_test_config(tmp_path)
+    with Pipeline(config) as pipeline:
+        result = pipeline.run_turn(turn(wav_path))
+    response, event, anchor = result.response, result.event, result.anchor
     assert response and event["final"]["dominant"] == "joy"
     assert anchor.status == "disabled"
 
