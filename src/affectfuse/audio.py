@@ -340,7 +340,7 @@ def resample_linear(samples: np.ndarray, rate: int, target_rate: int) -> np.ndar
     return np.interp(dst_t, src_t, samples)
 
 
-def load_wav(path: str, target_rate: int = TARGET_SAMPLE_RATE) -> AudioBuffer:
+def load_wav(path: str) -> AudioBuffer:
     """Read a WAV file (8/16/24/32-bit PCM or 32-bit float) as a 16 kHz buffer.
 
     Multi-channel audio is downmixed by arithmetic mean; other sample rates
@@ -353,5 +353,5 @@ def load_wav(path: str, target_rate: int = TARGET_SAMPLE_RATE) -> AudioBuffer:
     samples = _pcm_to_float(data)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    samples = resample_linear(samples, int(rate), target_rate)
-    return AudioBuffer(samples=samples, sample_rate=target_rate)
+    samples = resample_linear(samples, int(rate), TARGET_SAMPLE_RATE)
+    return AudioBuffer(samples=samples, sample_rate=TARGET_SAMPLE_RATE)

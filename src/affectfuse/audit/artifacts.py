@@ -1,10 +1,11 @@
 """Per-inference explainability artifacts.
 
-For every fuzzy-mode event three files land under the artifacts directory,
-named by txid: a JSON file with the fired rules and engine inputs, a CSV
-rules-conditions matrix, and a grayscale raster of the same matrix (binary
-portable pixmap, 16x16 px per cell, intensity = 255 * value) for quick visual
-inspection of which conditions drove the weight.
+``affectfuse explain`` writes three files for a sealed fuzzy-mode event under
+the artifacts directory, named by txid: a JSON file with the fired rules and
+engine inputs, a CSV rules-conditions matrix, and a grayscale raster of the
+same matrix (binary portable pixmap, 16x16 px per cell, intensity = 255 *
+value) for quick visual inspection of which conditions drove the weight. A
+turn writes none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ CELL_PX = 16
 
 
 class ExportError(RuntimeError):
-    """Artifact files could not be written (non-fatal to the pipeline)."""
+    """Artifact files could not be written; ``affectfuse explain`` exits 3."""
 
 
 def _condition_degree(condition: str, rule_base: RuleBase, inputs: Dict[str, float]) -> float:

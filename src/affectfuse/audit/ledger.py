@@ -359,9 +359,9 @@ class SimulatedLedger:
         self.close()
 
 
-def anchor_txid(txid: str, ledger: Optional[SimulatedLedger], enabled: bool = True) -> AnchorRecord:
-    """Anchor a txid, or report the disabled status when anchoring is off."""
-    if not enabled or ledger is None:
+def anchor_txid(txid: str, ledger: Optional[SimulatedLedger]) -> AnchorRecord:
+    """Anchor a txid, or report the disabled status when there is no ledger."""
+    if ledger is None:
         return AnchorRecord(txid=txid, status=STATUS_DISABLED)
     return ledger.submit(txid)
 

@@ -1,7 +1,7 @@
 """Append-only JSONL audit log.
 
 One canonical event per line. Appends are serialized through a lock and
-written with a single O_APPEND write so concurrent writers never tear or
+written with a single O_APPEND write so concurrent turns never tear or
 interleave lines. A failed append is fatal for the turn: an inference that
 cannot be audited must not return silently.
 
@@ -70,6 +70,10 @@ def _line_index(opened: _OpenFile) -> array:
 class AuditLog:
     """Single-writer append handle for one JSONL file.
 
+    The handle keeps the byte size the log had after its last append; an
+    append that finds the file another size raises :class:`AuditWriteError`
+    instead of returning a line number another writer may have taken.
+
     Opening a log whose last line has no newline (a crash mid-append) moves
     that fragment to ``<log>.torn`` as ``<byte offset> <bytes>\\n`` and cuts the
     log back to its last complete line, so the next event starts a new line.
@@ -92,6 +96,7 @@ class AuditLog:
         except OSError as exc:
             raise AuditWriteError(f"cannot open audit log {self.path}: {exc}") from exc
         self._lines = len(starts) - 1
+        self._size = starts[-1]
 
     def _quarantine_torn_tail(self, offset: int, size: int) -> None:
         fragment = os.pread(self._fd, size - offset, offset)
@@ -113,9 +118,17 @@ class AuditLog:
         line = canonical_bytes + b"\n"
         with self._lock:
             try:
-                written = os.write(self._fd, line)
+                size = os.fstat(self._fd).st_size
+                if size == self._size:
+                    written = os.write(self._fd, line)
             except OSError as exc:
                 raise AuditWriteError(f"append to {self.path} failed: {exc}") from exc
+            if size != self._size:
+                raise AuditWriteError(
+                    f"{self.path} is {size} bytes, not the {self._size} this log left: "
+                    "another writer appends to it"
+                )
+            self._size += written
             if written != len(line):
                 raise AuditWriteError(f"short write to {self.path}")
             self._lines += 1

@@ -21,7 +21,6 @@ _MIN_PHONE_DIGITS = 7
 CLASS_EMAIL = "EMAIL"
 CLASS_PHONE = "PHONE"
 CLASS_ID = "ID"
-DEFAULT_CLASSES: Tuple[str, ...] = (CLASS_EMAIL, CLASS_PHONE, CLASS_ID)
 
 
 @dataclass(frozen=True)
@@ -47,26 +46,20 @@ def _redact_phones(text: str, counts: Dict[str, int]) -> str:
     return _PHONE_RE.sub(replace, text)
 
 
-def redact_text(text: str, classes: Tuple[str, ...] = DEFAULT_CLASSES) -> Tuple[str, Dict[str, int]]:
+def redact_text(text: str) -> Tuple[str, Dict[str, int]]:
     """Redact one string; returns the redacted text and per-class counts."""
     counts: Dict[str, int] = {}
-    if CLASS_EMAIL in classes:
-        text, n = _EMAIL_RE.subn(f"[REDACTED:{CLASS_EMAIL}]", text)
-        if n:
-            counts[CLASS_EMAIL] = n
-    if CLASS_PHONE in classes:
-        text = _redact_phones(text, counts)
-    if CLASS_ID in classes:
-        text, n = _ID_RE.subn(f"[REDACTED:{CLASS_ID}]", text)
-        if n:
-            counts[CLASS_ID] = n
+    text, n = _EMAIL_RE.subn(f"[REDACTED:{CLASS_EMAIL}]", text)
+    if n:
+        counts[CLASS_EMAIL] = n
+    text = _redact_phones(text, counts)
+    text, n = _ID_RE.subn(f"[REDACTED:{CLASS_ID}]", text)
+    if n:
+        counts[CLASS_ID] = n
     return text, counts
 
 
-def redact_pii(
-    fields: Mapping[str, str],
-    classes: Tuple[str, ...] = DEFAULT_CLASSES,
-) -> Tuple[Dict[str, str], RedactionReport]:
+def redact_pii(fields: Mapping[str, str]) -> Tuple[Dict[str, str], RedactionReport]:
     """Redact every free-text field of an event before persistence.
 
     Returns the redacted fields and a report with per-class match counts.
@@ -74,7 +67,7 @@ def redact_pii(
     redacted: Dict[str, str] = {}
     totals: Dict[str, int] = {}
     for name, value in fields.items():
-        new_value, counts = redact_text(value, classes)
+        new_value, counts = redact_text(value)
         redacted[name] = new_value
         for cls, n in counts.items():
             totals[cls] = totals.get(cls, 0) + n

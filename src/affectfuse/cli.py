@@ -28,7 +28,7 @@ from .corpus import generate_synthetic_corpus
 from .evaluate import VARIANTS, run_batch_eval
 from .fuzzy import load_rule_base
 from .metrics import export_metrics, serve_metrics
-from .pipeline import Pipeline, TurnInput, explain_event
+from .pipeline import Pipeline, TurnInput, explain_event, open_ledger
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,13 +101,7 @@ def _open_ledger(config, readonly_ok: bool = True) -> Optional[SimulatedLedger]:
     process behind the owning pipeline's back would fork the chain.
     """
     try:
-        return SimulatedLedger(
-            ledger_path=config.anchoring.ledger_path,
-            pending_path=config.anchoring.pending_path,
-            sender=config.anchoring.sender,
-            block_interval=config.anchoring.block_interval,
-            max_block_entries=config.anchoring.max_block_entries,
-        )
+        return open_ledger(config)
     except AnchorError:
         if readonly_ok:
             return None

@@ -15,6 +15,15 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import yaml
 
+from .audio import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR, DEFAULT_SNR_BLOCK
+from .audit.ledger import DEFAULT_BLOCK_INTERVAL, DEFAULT_MAX_BLOCK_ENTRIES, DEFAULT_SENDER
+from .fusion import (
+    DEFAULT_SNR_LOW_DB,
+    DEFAULT_SNR_LOW_FACTOR,
+    DEFAULT_SNR_MID_DB,
+    DEFAULT_SNR_MID_FACTOR,
+)
+from .guardrails import DEFAULT_THRESHOLDS, HEDGE_COHERENCE, HEDGE_PROBABILITY
 from .text import DEFAULT_INTENSIFIERS, DEFAULT_NEGATION_MARKERS
 
 ENV_PREFIX = "APP__"
@@ -26,10 +35,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class AudioConfig:
-    alpha_ema: float = 0.3
-    norm_factor: float = 0.2
+    alpha_ema: float = DEFAULT_ALPHA
+    norm_factor: float = DEFAULT_NORM_FACTOR
     use_mfcc: bool = True
-    snr_block_size: int = 512
+    snr_block_size: int = DEFAULT_SNR_BLOCK
     base_valence: float = 0.0
 
 
@@ -44,21 +53,21 @@ class TextConfig:
 @dataclass
 class FusionConfig:
     rule_base_path: Optional[str] = None
-    snr_low_db: float = 5.0
-    snr_mid_db: float = 12.0
-    snr_low_factor: float = 0.6
-    snr_mid_factor: float = 0.85
+    snr_low_db: float = DEFAULT_SNR_LOW_DB
+    snr_mid_db: float = DEFAULT_SNR_MID_DB
+    snr_low_factor: float = DEFAULT_SNR_LOW_FACTOR
+    snr_mid_factor: float = DEFAULT_SNR_MID_FACTOR
     range_normalized_coherence: bool = False
 
 
 @dataclass
 class GuardrailConfig:
-    thresholds: Dict[str, float] = field(default_factory=lambda: {"fear": 0.7, "sadness": 0.85})
+    thresholds: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     keywords_path: Optional[str] = None
     templates_path: Optional[str] = None
     escalation_webhook: Optional[str] = None
-    hedge_probability: float = 0.5
-    hedge_coherence: float = 0.4
+    hedge_probability: float = HEDGE_PROBABILITY
+    hedge_coherence: float = HEDGE_COHERENCE
 
 
 @dataclass
@@ -72,9 +81,9 @@ class AnchoringConfig:
     enabled: bool = True
     ledger_path: str = "audit/ledger.json"
     pending_path: str = "audit/pending.json"
-    sender: str = "sim-account-001"
-    block_interval: float = 2.0
-    max_block_entries: int = 128
+    sender: str = DEFAULT_SENDER
+    block_interval: float = DEFAULT_BLOCK_INTERVAL
+    max_block_entries: int = DEFAULT_MAX_BLOCK_ENTRIES
 
 
 @dataclass

@@ -9,7 +9,8 @@ a flat metadata map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from importlib import resources
+from typing import Any, Dict, Mapping, Optional, Tuple
 import unicodedata
 
 #: Canonical label ordering. It is total and stable: ties and serializations
@@ -37,6 +38,18 @@ class InvalidScore(ValueError):
 def _strip_accents(text: str) -> str:
     decomposed = unicodedata.normalize("NFD", text)
     return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
+
+
+def read_data_file(path: Optional[str], bundled: str) -> Tuple[str, str]:
+    """Read a user data file, or a bundled one, and return ``(text, origin)``.
+
+    ``path`` names the user's file; when it is None the bundled file named
+    ``bundled`` is read. ``origin`` names the file in error messages.
+    """
+    if path is None:
+        return resources.files("affectfuse.data").joinpath(bundled).read_text(encoding="utf-8"), bundled
+    with open(path, encoding="utf-8") as handle:
+        return handle.read(), str(path)
 
 
 def canonical_label(name: str) -> str:

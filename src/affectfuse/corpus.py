@@ -18,10 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .audio import VA_PROTOTYPES
+from .audio import DEFAULT_NORM_FACTOR, TARGET_SAMPLE_RATE, VA_PROTOTYPES
 from .core import LABELS
-
-SAMPLE_RATE = 16000
 
 #: Non-affective filler vocabulary (disjoint from the lexicon, the negation
 #: markers, and the intensifier table).
@@ -56,7 +54,6 @@ INTENSIFIER_CHOICES: Tuple[str, ...] = (
 
 DEFAULT_NOISE_LEVELS_DB: Tuple[float, ...] = (25.0, 15.0, 8.0, 3.0)
 
-_NORM_FACTOR = 0.2
 _BURST_DUTY = 0.72
 _CHUNK_SECONDS = 0.1
 
@@ -121,12 +118,12 @@ def _synthesize_audio(
     arousal tracks rms_norm directly and rms = arousal * norm_factor * 0.92.
     """
     duration = 1.6 + 0.8 * float(rng.random())
-    n = int(round(duration * SAMPLE_RATE))
+    n = int(round(duration * TARGET_SAMPLE_RATE))
     target_arousal = VA_PROTOTYPES[label][1] + float(rng.uniform(-0.05, 0.05))
     rms_norm = float(np.clip(target_arousal, 0.05, 1.0))
-    rms = rms_norm * _NORM_FACTOR * 0.92
+    rms = rms_norm * DEFAULT_NORM_FACTOR * 0.92
 
-    chunk = int(_CHUNK_SECONDS * SAMPLE_RATE)
+    chunk = int(_CHUNK_SECONDS * TARGET_SAMPLE_RATE)
     n_chunks = max(1, n // chunk)
     n_on = max(1, int(round(_BURST_DUTY * n_chunks)))
     on_chunks = set(rng.permutation(n_chunks)[:n_on].tolist())
@@ -140,7 +137,7 @@ def _synthesize_audio(
         envelope[:] = 1.0
         duty = 1.0
 
-    t = np.arange(n) / SAMPLE_RATE
+    t = np.arange(n) / TARGET_SAMPLE_RATE
     carrier = _CARRIER_HZ[label] * (1.0 + float(rng.uniform(-0.05, 0.05)))
     tone = np.sin(2 * np.pi * carrier * t)
     # Harmonic richness varies the downstream timbre score.
@@ -162,7 +159,7 @@ def _write_wav(path: Path, samples: np.ndarray) -> None:
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
-        handle.setframerate(SAMPLE_RATE)
+        handle.setframerate(TARGET_SAMPLE_RATE)
         handle.writeframes(pcm.tobytes())
 
 

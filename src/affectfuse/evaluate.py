@@ -49,7 +49,8 @@ def load_manifest(path: str) -> List[ManifestRow]:
 
     Relative audio paths resolve against the manifest directory; Spanish
     label aliases are accepted. Row ids must be unique: batch evaluation
-    gives each row its own pipeline session.
+    gives each row its own pipeline session. A row whose asr_confidence is
+    outside [0, 1] is rejected here, before any row is evaluated.
     """
     base = Path(path).resolve().parent
     rows: List[ManifestRow] = []
@@ -64,12 +65,15 @@ def load_manifest(path: str) -> List[ManifestRow]:
                 audio_path = Path(raw["audio"])
                 if not audio_path.is_absolute():
                     audio_path = base / audio_path
+                confidence = float(raw["asr_confidence"])
+                if not 0.0 <= confidence <= 1.0:  # also rejects NaN
+                    raise ValueError(f"asr_confidence must be in [0, 1], got {confidence}")
                 rows.append(
                     ManifestRow(
                         row_id=str(raw["id"]),
                         audio=str(audio_path),
                         transcript=str(raw["transcript"]),
-                        asr_confidence=float(raw["asr_confidence"]),
+                        asr_confidence=confidence,
                         label=canonical_label(str(raw["label"])),
                     )
                 )
@@ -85,25 +89,21 @@ def load_manifest(path: str) -> List[ManifestRow]:
     return rows
 
 
-def classification_metrics(
-    golds: Sequence[str],
-    preds: Sequence[str],
-    labels: Sequence[str] = LABELS,
-) -> Dict[str, object]:
+def classification_metrics(golds: Sequence[str], preds: Sequence[str]) -> Dict[str, object]:
     """Accuracy, per-class / macro / weighted P-R-F1, and confusion matrices."""
     if len(golds) != len(preds):
         raise ValueError("golds and preds must have equal length")
     n = len(golds)
-    index = {label: i for i, label in enumerate(labels)}
-    confusion = [[0 for _ in labels] for _ in labels]
+    index = {label: i for i, label in enumerate(LABELS)}
+    confusion = [[0 for _ in LABELS] for _ in LABELS]
     for gold, pred in zip(golds, preds):
         confusion[index[gold]][index[pred]] += 1
 
     per_class: Dict[str, Dict[str, float]] = {}
-    for label in labels:
+    for label in LABELS:
         i = index[label]
         tp = confusion[i][i]
-        fp = sum(confusion[r][i] for r in range(len(labels))) - tp
+        fp = sum(confusion[r][i] for r in range(len(LABELS))) - tp
         fn = sum(confusion[i]) - tp
         precision = tp / (tp + fp) if (tp + fp) else 0.0
         recall = tp / (tp + fn) if (tp + fn) else 0.0
@@ -117,13 +117,13 @@ def classification_metrics(
 
     def average(metric: str, weighted: bool) -> float:
         if weighted:
-            total = sum(per_class[label]["support"] for label in labels)
+            total = sum(per_class[label]["support"] for label in LABELS)
             if total == 0:
                 return 0.0
-            return sum(per_class[label][metric] * per_class[label]["support"] for label in labels) / total
-        return sum(per_class[label][metric] for label in labels) / len(labels)
+            return sum(per_class[label][metric] * per_class[label]["support"] for label in LABELS) / total
+        return sum(per_class[label][metric] for label in LABELS) / len(LABELS)
 
-    accuracy = sum(confusion[i][i] for i in range(len(labels))) / n if n else 0.0
+    accuracy = sum(confusion[i][i] for i in range(len(LABELS))) / n if n else 0.0
     normalized = []
     for row in confusion:
         total = sum(row)
@@ -140,9 +140,9 @@ def classification_metrics(
     }
 
 
-def _write_confusion_csv(path: Path, matrix: Sequence[Sequence[float]], labels: Sequence[str]) -> None:
-    lines = ["gold\\pred," + ",".join(labels)]
-    for label, row in zip(labels, matrix):
+def _write_confusion_csv(path: Path, matrix: Sequence[Sequence[float]]) -> None:
+    lines = ["gold\\pred," + ",".join(LABELS)]
+    for label, row in zip(LABELS, matrix):
         lines.append(label + "," + ",".join(f"{value:.6f}" for value in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -293,9 +293,5 @@ def run_batch_eval(
         )
         for name in (*variants, *ablations):
             section = report["variants"] if name in variants else report["ablations"]
-            _write_confusion_csv(
-                out / f"confusion_{name}.csv",
-                section[name]["confusion_normalized"],
-                list(LABELS),
-            )
+            _write_confusion_csv(out / f"confusion_{name}.csv", section[name]["confusion_normalized"])
     return report

@@ -10,13 +10,12 @@ and the crisp weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
-from .core import clamp
+from .core import clamp, read_data_file
 
 GRID_POINTS = 1001
 
@@ -199,17 +198,13 @@ def aggregate_outputs(
     return out
 
 
-def defuzzify_centroid(
-    out_sets: Mapping[str, float],
-    output: LinguisticVariable,
-    grid_points: int = GRID_POINTS,
-) -> float:
+def defuzzify_centroid(out_sets: Mapping[str, float], output: LinguisticVariable) -> float:
     """Centroid of max_s min(mu_s(x), activation_s) on a uniform grid.
 
     Raises ZeroActivation when the aggregated function is identically zero;
     the caller then takes the linear-fallback path.
     """
-    xs = np.linspace(output.domain[0], output.domain[1], grid_points)
+    xs = np.linspace(output.domain[0], output.domain[1], GRID_POINTS)
     aggregated = np.zeros_like(xs)
     for label, activation in out_sets.items():
         if activation <= 0.0:
@@ -306,14 +301,8 @@ def load_rule_base(path: Optional[str] = None, builtin: str = "default") -> Rule
     Without a path one of the bundled bases is used: "default" (the shipped
     gating base, id "default-r1r4") or "trace" (the minimal three-rule base).
     """
-    if path is None:
-        filename = {"default": "rules_default.yaml", "trace": "rules_trace.yaml"}[builtin]
-        text = resources.files("affectfuse.data").joinpath(filename).read_text(encoding="utf-8")
-        origin = filename
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        origin = str(path)
+    bundled = {"default": "rules_default.yaml", "trace": "rules_trace.yaml"}[builtin]
+    text, origin = read_data_file(path, bundled)
     parsed = yaml.safe_load(text)
     if not isinstance(parsed, Mapping):
         raise InvalidRuleBase(f"{origin}: top level must be a mapping")

@@ -13,15 +13,13 @@ from __future__ import annotations
 import http.client
 import json
 import logging
-import unicodedata
 import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .core import dominant_emotion
+from .core import _strip_accents, dominant_emotion, read_data_file
 from .fusion import FusionOutcome
 
 log = logging.getLogger(__name__)
@@ -53,11 +51,6 @@ class Escalation:
         }
 
 
-def _normalize_for_matching(text: str) -> str:
-    decomposed = unicodedata.normalize("NFD", text.lower())
-    return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
-
-
 def evaluate_guardrails(
     fused: FusionOutcome,
     transcript: str,
@@ -76,9 +69,9 @@ def evaluate_guardrails(
     for label, limit in limits.items():
         if fused.probs.get(label, 0.0) > limit:
             reasons.append(f"{label}>{limit:g}")
-    haystack = _normalize_for_matching(transcript)
+    haystack = _strip_accents(transcript.lower())
     for keyword in keywords:
-        if keyword and _normalize_for_matching(keyword) in haystack:
+        if keyword and _strip_accents(keyword.lower()) in haystack:
             reasons.append(f"keyword:{keyword}")
     return Escalation(triggered=bool(reasons), reasons=reasons, timestamp=timestamp)
 
@@ -194,19 +187,11 @@ def _parse_templates(lines: Sequence[str], origin: str) -> Dict[str, str]:
 
 def load_templates(path: Optional[str] = None) -> Dict[str, str]:
     """Load the response template table (keys like "joy.plain", "handoff")."""
-    if path is None:
-        text = resources.files("affectfuse.data").joinpath("templates_es.txt").read_text("utf-8")
-        return _parse_templates(text.splitlines(), "templates_es.txt")
-    with open(path, encoding="utf-8") as handle:
-        return _parse_templates(handle.read().splitlines(), str(path))
+    text, origin = read_data_file(path, "templates_es.txt")
+    return _parse_templates(text.splitlines(), origin)
 
 
 def load_keywords(path: Optional[str] = None) -> List[str]:
     """Load the sensitive keyword list, one phrase per line."""
-    if path is None:
-        text = resources.files("affectfuse.data").joinpath("keywords_es.txt").read_text("utf-8")
-        lines = text.splitlines()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    return [line.strip() for line in lines if line.strip() and not line.startswith("#")]
+    text, _ = read_data_file(path, "keywords_es.txt")
+    return [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
@@ -34,6 +34,8 @@ def _format_labels(labels: Mapping[str, str]) -> str:
 
 
 class _Metric:
+    """One metric; counters and gauges hold one value per label set."""
+
     kind = "untyped"
 
     def __init__(self, name: str, help_text: str, base_labels: Mapping[str, str]) -> None:
@@ -41,6 +43,7 @@ class _Metric:
         self.help = help_text
         self.base_labels = dict(base_labels)
         self._lock = threading.Lock()
+        self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
 
     def _merge(self, labels: Mapping[str, str]) -> Tuple[Tuple[str, str], ...]:
         merged = dict(self.base_labels)
@@ -48,15 +51,16 @@ class _Metric:
         return tuple(sorted(merged.items()))
 
     def render(self) -> List[str]:
-        raise NotImplementedError
+        with self._lock:
+            items = sorted(self._values.items())
+        return [
+            f"{self.name}{_format_labels(dict(key))} {_format_value(value)}"
+            for key, value in items
+        ]
 
 
 class Counter(_Metric):
     kind = "counter"
-
-    def __init__(self, name, help_text, base_labels) -> None:
-        super().__init__(name, help_text, base_labels)
-        self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
@@ -70,22 +74,12 @@ class Counter(_Metric):
             return self._values.get(self._merge(labels), 0.0)
 
     def render(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        if not items:
-            items = [(self._merge({}), 0.0)]
-        return [
-            f"{self.name}{_format_labels(dict(key))} {_format_value(value)}"
-            for key, value in items
-        ]
+        # A counter that never moved still exposes its zero.
+        return super().render() or [f"{self.name}{_format_labels(self.base_labels)} 0"]
 
 
 class Gauge(_Metric):
     kind = "gauge"
-
-    def __init__(self, name, help_text, base_labels) -> None:
-        super().__init__(name, help_text, base_labels)
-        self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         with self._lock:
@@ -95,21 +89,15 @@ class Gauge(_Metric):
         with self._lock:
             return self._values.get(self._merge(labels))
 
-    def render(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [
-            f"{self.name}{_format_labels(dict(key))} {_format_value(value)}"
-            for key, value in items
-        ]
-
 
 class Histogram(_Metric):
-    kind = "histogram"
+    """Cumulative DEFAULT_BUCKETS counts, sum and count per label set."""
 
-    def __init__(self, name, help_text, base_labels, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
+    kind = "histogram"
+    buckets = DEFAULT_BUCKETS
+
+    def __init__(self, name, help_text, base_labels) -> None:
         super().__init__(name, help_text, base_labels)
-        self.buckets = tuple(sorted(buckets))
         self._counts: Dict[Tuple[Tuple[str, str], ...], List[int]] = {}
         self._sums: Dict[Tuple[Tuple[str, str], ...], float] = {}
         self._totals: Dict[Tuple[Tuple[str, str], ...], int] = {}
@@ -167,15 +155,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         return self._get_or_create(name, help_text, Gauge)
 
-    def histogram(self, name: str, help_text: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = Histogram(name, help_text, self.base_labels, buckets)
-                self._metrics[name] = metric
-            if not isinstance(metric, Histogram):
-                raise TypeError(f"metric {name} already registered as {metric.kind}")
-            return metric
+    def histogram(self, name: str, help_text: str = "") -> Histogram:
+        return self._get_or_create(name, help_text, Histogram)
 
     def _get_or_create(self, name: str, help_text: str, cls) -> _Metric:
         with self._lock:
@@ -219,9 +200,11 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 
 class MetricsServer:
-    def __init__(self, registry: MetricsRegistry, port: int, host: str = "127.0.0.1") -> None:
+    """Serves /metrics on 127.0.0.1 only, from a daemon thread."""
+
+    def __init__(self, registry: MetricsRegistry, port: int) -> None:
         handler = type("_Handler", (_MetricsHandler,), {"registry": registry})
-        self._server = ThreadingHTTPServer((host, port), handler)
+        self._server = ThreadingHTTPServer(("127.0.0.1", port), handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
@@ -235,9 +218,9 @@ class MetricsServer:
         self._thread.join(timeout=2.0)
 
 
-def serve_metrics(registry: MetricsRegistry, port: int, host: str = "127.0.0.1") -> MetricsServer:
-    """Serve /metrics over HTTP; returns a handle with .port and .close()."""
-    return MetricsServer(registry, port, host)
+def serve_metrics(registry: MetricsRegistry, port: int) -> MetricsServer:
+    """Serve /metrics over HTTP on 127.0.0.1; returns a handle with .port and .close()."""
+    return MetricsServer(registry, port)
 
 
 def export_metrics(registry: MetricsRegistry, output_path: Optional[str] = None) -> str:

@@ -146,6 +146,22 @@ class _Session:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
+def open_ledger(
+    config: PipelineConfig, clock: Optional[Clock] = None, auto_seal: bool = False
+) -> SimulatedLedger:
+    """The ledger that ``config.anchoring`` describes."""
+    anchoring = config.anchoring
+    return SimulatedLedger(
+        ledger_path=anchoring.ledger_path,
+        pending_path=anchoring.pending_path,
+        sender=anchoring.sender,
+        block_interval=anchoring.block_interval,
+        max_block_entries=anchoring.max_block_entries,
+        clock=clock,
+        auto_seal=auto_seal,
+    )
+
+
 class Pipeline:
     """Loads every asset once and runs turns.
 
@@ -172,15 +188,7 @@ class Pipeline:
         self.audit_log = AuditLog(config.audit.log_path)
         self.ledger: Optional[SimulatedLedger] = None
         if config.anchoring.enabled:
-            self.ledger = SimulatedLedger(
-                ledger_path=config.anchoring.ledger_path,
-                pending_path=config.anchoring.pending_path,
-                sender=config.anchoring.sender,
-                block_interval=config.anchoring.block_interval,
-                max_block_entries=config.anchoring.max_block_entries,
-                clock=self.clock,
-                auto_seal=True,
-            )
+            self.ledger = open_ledger(config, clock=self.clock, auto_seal=True)
         self._sessions: Dict[str, _Session] = {}
         self._sessions_lock = threading.Lock()
 
@@ -265,19 +273,38 @@ class Pipeline:
             redacted, report = redact_pii({"transcript": transcript, "response": response})
             if report.total:
                 self._redactions.inc(report.total)
-            event = self._build_event(
-                event_id=event_id,
-                timestamp=timestamp,
-                session_id=turn.session_id,
-                asr_conf=asr_conf,
-                adjusted=adjusted,
-                audio_result=audio_result,
-                text_result=text_result,
-                outcome=outcome,
-                escalation=escalation,
-                redacted=redacted,
-                report=report.as_dict(),
-            )
+            dominant, dominant_prob = dominant_emotion(outcome.probs)
+            event: Dict[str, object] = {
+                "event_id": event_id,
+                "timestamp": timestamp,
+                "session_id": turn.session_id,
+                "run_id": cfg.run_id,
+                "model_size": cfg.model_size,
+                "canonical_version": CANONICAL_VERSION,
+                "rule_base": self.rule_base.rule_base_id,
+                "asr_conf": asr_conf,
+                "asr_conf_adjusted": adjusted,
+                "emotion_audio_conf": audio_result.confidence,
+                "emotion_text_conf": text_result.confidence,
+                "weights": {"w_text": outcome.w_text, "w_audio": outcome.w_audio},
+                "mode": outcome.mode,
+                "coherence": outcome.coherence,
+                "final": {
+                    "probs": dict(outcome.probs),
+                    "vad": outcome.vad.as_dict(),
+                    "dominant": dominant,
+                    "dominant_prob": dominant_prob,
+                },
+                "audio": dict(audio_result.metadata),
+                "text": dict(text_result.metadata),
+                "transcript": redacted["transcript"],
+                "response": redacted["response"],
+                "redaction": report.as_dict(),
+            }
+            if outcome.mode == MODE_FUZZY and outcome.trace is not None:
+                event["fusion_fuzzy"] = outcome.trace.as_dict()
+            if escalation.triggered:
+                event["escalation"] = escalation.as_dict()
             canonical = canonicalize(event)
             txid = compute_txid(canonical)
             line_number = self.audit_log.append(canonical)
@@ -297,7 +324,7 @@ class Pipeline:
                 self._errors.inc(stage="escalation_webhook")
 
         with self._timed("anchor_submit"):
-            anchor = anchor_txid(txid, self.ledger, enabled=cfg.anchoring.enabled)
+            anchor = anchor_txid(txid, self.ledger)
 
         self._snr_gauge.set(snr_db)
         self._coherence_gauge.set(outcome.coherence)
@@ -312,54 +339,6 @@ class Pipeline:
             audio=audio_result,
             text=text_result,
         )
-
-    def _build_event(
-        self,
-        event_id: str,
-        timestamp: str,
-        session_id: str,
-        asr_conf: float,
-        adjusted: float,
-        audio_result,
-        text_result,
-        outcome,
-        escalation,
-        redacted: Dict[str, str],
-        report: Dict[str, int],
-    ) -> Dict[str, object]:
-        dominant, dominant_prob = dominant_emotion(outcome.probs)
-        event: Dict[str, object] = {
-            "event_id": event_id,
-            "timestamp": timestamp,
-            "session_id": session_id,
-            "run_id": self.config.run_id,
-            "model_size": self.config.model_size,
-            "canonical_version": CANONICAL_VERSION,
-            "rule_base": self.rule_base.rule_base_id,
-            "asr_conf": asr_conf,
-            "asr_conf_adjusted": adjusted,
-            "emotion_audio_conf": audio_result.confidence,
-            "emotion_text_conf": text_result.confidence,
-            "weights": {"w_text": outcome.w_text, "w_audio": outcome.w_audio},
-            "mode": outcome.mode,
-            "coherence": outcome.coherence,
-            "final": {
-                "probs": dict(outcome.probs),
-                "vad": outcome.vad.as_dict(),
-                "dominant": dominant,
-                "dominant_prob": dominant_prob,
-            },
-            "audio": dict(audio_result.metadata),
-            "text": dict(text_result.metadata),
-            "transcript": redacted["transcript"],
-            "response": redacted["response"],
-            "redaction": report,
-        }
-        if outcome.mode == MODE_FUZZY and outcome.trace is not None:
-            event["fusion_fuzzy"] = outcome.trace.as_dict()
-        if escalation.triggered:
-            event["escalation"] = escalation.as_dict()
-        return event
 
     def close(self) -> None:
         self.audit_log.close()
@@ -379,7 +358,7 @@ def explain_event(
     """Write ``<txid>.json/.csv/.ppm`` for a sealed event; returns the paths.
 
     The trace is rebuilt from the ``fusion_fuzzy`` block and ``weights.w_text``
-    that ``Pipeline._build_event`` sealed. The event's ``rule_base`` label must
+    that ``Pipeline.run_turn`` sealed. The event's ``rule_base`` label must
     name ``rule_base``, whose membership functions fill the condition matrix.
     The caller checks that ``txid`` is the hash of the line the event came
     from. JSON and CSV match the live turn's export byte for byte. Sealed

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     canonical_label,
     clamp,
     normalize_distribution,
+    read_data_file,
 )
 
 DEFAULT_NEGATION_MARKERS: Tuple[str, ...] = ("no", "nunca", "jamás", "sin", "tampoco")
@@ -222,10 +222,6 @@ def text_emotion(
     return EmotionResult(probs=probs, vad=vad, confidence=confidence, metadata=metadata)
 
 
-def _read_data_text(filename: str) -> str:
-    return resources.files("affectfuse.data").joinpath(filename).read_text(encoding="utf-8")
-
-
 def _parse_lexicon(lines: Iterable[str], origin: str) -> Dict[str, LexiconEntry]:
     lexicon: Dict[str, LexiconEntry] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -252,10 +248,8 @@ def load_lexicon(path: Optional[str] = None) -> Dict[str, LexiconEntry]:
     Spanish emotion names are accepted. Without a path the bundled seed
     lexicon is used.
     """
-    if path is None:
-        return _parse_lexicon(_read_data_text("lexicon_es.tsv").splitlines(), "lexicon_es.tsv")
-    with open(path, encoding="utf-8") as handle:
-        return _parse_lexicon(handle, str(path))
+    text, origin = read_data_file(path, "lexicon_es.tsv")
+    return _parse_lexicon(text.splitlines(), origin)
 
 
 def _parse_lemmas(lines: Iterable[str], origin: str) -> Dict[str, str]:
@@ -273,7 +267,5 @@ def _parse_lemmas(lines: Iterable[str], origin: str) -> Dict[str, str]:
 
 def load_lemma_dictionary(path: Optional[str] = None) -> Dict[str, str]:
     """Load the surface-to-lemma TSV; bundled seed dictionary by default."""
-    if path is None:
-        return _parse_lemmas(_read_data_text("lemmas_es.tsv").splitlines(), "lemmas_es.tsv")
-    with open(path, encoding="utf-8") as handle:
-        return _parse_lemmas(handle, str(path))
+    text, origin = read_data_file(path, "lemmas_es.tsv")
+    return _parse_lemmas(text.splitlines(), origin)

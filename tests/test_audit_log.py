@@ -40,6 +40,17 @@ def test_line_count_resumes_on_reopen(tmp_path):
         assert log.append(canonicalize({"n": 2})) == 2
 
 
+def test_second_handle_on_the_same_log_is_refused(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with AuditLog(str(path)) as first, AuditLog(str(path)) as second:
+        assert first.append(canonicalize({"n": 1})) == 1
+        with pytest.raises(AuditWriteError, match=r"events\.jsonl is 8 bytes, not the 0 this log left") as err:
+            second.append(canonicalize({"n": 2}))
+        assert "failed" not in str(err.value)
+        assert first.append(canonicalize({"n": 3})) == 2
+    assert [json.loads(line)["n"] for line in path.read_bytes().splitlines()] == [1, 3]
+
+
 def test_newline_in_payload_rejected(tmp_path):
     with AuditLog(str(tmp_path / "e.jsonl")) as log:
         with pytest.raises(AuditWriteError):

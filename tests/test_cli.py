@@ -156,8 +156,7 @@ def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_pa
 def test_metrics_serve_smoke(workspace, capsys, tmp_path):
     import threading
     import time
-
-    import requests
+    import urllib.request
 
     _, config, _ = workspace
     corpus_dir = tmp_path / "corpus"
@@ -182,10 +181,11 @@ def test_metrics_serve_smoke(workspace, capsys, tmp_path):
     text = ""
     while time.time() < deadline:
         try:
-            text = requests.get(f"http://127.0.0.1:{port}/metrics", timeout=1).text
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=1) as response:
+                text = response.read().decode("utf-8")
             if "pipeline_stage_latency_seconds" in text:
                 break
-        except requests.RequestException:
+        except OSError:
             pass
         time.sleep(0.1)
     assert "pipeline_stage_latency_seconds" in text

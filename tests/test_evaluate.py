@@ -193,6 +193,18 @@ def test_duplicate_row_id_names_both_lines(tmp_path):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("confidence", [1.5, -0.1, float("nan")], ids=["above", "below", "nan"])
+def test_out_of_range_asr_confidence_names_its_line(tmp_path, confidence):
+    row = {"id": "r1", "audio": "x.wav", "transcript": "t", "asr_confidence": 0.5, "label": "joy"}
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        json.dumps(row) + "\n" + json.dumps({**row, "id": "r2", "asr_confidence": confidence}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"m\.jsonl:2: bad manifest row: asr_confidence must be in \[0, 1\]"):
+        load_manifest(str(path))
+
+
 def test_no_gating_reuses_linear(tmp_path, small_corpus, pinned_clock):
     report = run_batch_eval(
         str(small_corpus),

@@ -41,7 +41,7 @@ def txid_of(n: int) -> str:
 
 
 def test_disabled_anchoring(tmp_path):
-    record = anchor_txid(txid_of(1), None, enabled=False)
+    record = anchor_txid(txid_of(1), None)
     assert record.status == "disabled"
     assert record.block_number is None
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import re
+import urllib.error
+import urllib.request
 
-import requests
+import pytest
 
 from affectfuse.metrics import MetricsRegistry, export_metrics, serve_metrics
 
@@ -52,11 +54,14 @@ def test_exposition_served_over_http():
     registry.gauge("audio_snr_db", "snr").set(12.0)
     server = serve_metrics(registry, port=0)
     try:
-        response = requests.get(f"http://127.0.0.1:{server.port}/metrics", timeout=2)
-        assert response.status_code == 200
-        assert "text/plain" in response.headers["Content-Type"]
-        assert 'audio_snr_db{model_size="stub",run_id="serve"} 12' in response.text
-        assert requests.get(f"http://127.0.0.1:{server.port}/other", timeout=2).status_code == 404
+        with urllib.request.urlopen(f"http://127.0.0.1:{server.port}/metrics", timeout=2) as response:
+            assert response.status == 200
+            assert "text/plain" in response.headers["Content-Type"]
+            assert 'audio_snr_db{model_size="stub",run_id="serve"} 12' in response.read().decode("utf-8")
+        with pytest.raises(urllib.error.HTTPError) as not_found:
+            urllib.request.urlopen(f"http://127.0.0.1:{server.port}/other", timeout=2)
+        not_found.value.close()
+        assert not_found.value.code == 404
     finally:
         server.close()
 
