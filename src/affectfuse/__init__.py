@@ -53,7 +53,7 @@ from .fuzzy import (
     load_rule_base,
 )
 from .guardrails import Escalation, evaluate_guardrails, notify_escalation, plan_response
-from .metrics import MetricsRegistry, export_metrics, serve_metrics
+from .metrics import MetricsRegistry, export_metrics
 from .pipeline import Pipeline, TurnInput, TurnResult
 from .text import (
     LexiconEntry,

@@ -22,7 +22,7 @@ from .ledger import (
     verify_anchorage,
 )
 from .log import AuditLog, AuditWriteError, read_event_line
-from .merkle import EmptyBatch, MerkleBatch, MerkleProof, merkle_proof, merkle_root, merkle_verify
+from .merkle import EmptyBatch, MerkleBatch, MerkleProof, merkle_root, merkle_verify
 from .redact import RedactionReport, redact_pii, redact_text
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "compute_txid",
     "estimate_anchor_cost",
     "export_explainability_artifact",
-    "merkle_proof",
     "merkle_root",
     "merkle_verify",
     "parse_canonical",

@@ -11,7 +11,6 @@ response path.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import json
 import re
@@ -19,9 +18,10 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .canonical import canonicalize
+from .log import Journal
 
 STATUS_DISABLED = "disabled"
 STATUS_SUBMITTED = "submitted"
@@ -135,12 +135,6 @@ def _is_torn_block(tail: bytes) -> bool:
     return _BLOCK_PREFIX.startswith(tail[: len(_BLOCK_PREFIX)])
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-
-
 class SimulatedLedger:
     """Local stand-in for the anchoring chain.
 
@@ -150,7 +144,7 @@ class SimulatedLedger:
 
     Both files are line journals, so no call's cost grows with history: a seal
     appends one block line, then rewrites the pending txid lines still queued.
-    One instance owns the pair of files: an append to a journal that another
+    One instance owns the pair of files: a write to a journal that another
     process has changed raises :class:`AnchorError`.
     """
 
@@ -175,10 +169,8 @@ class SimulatedLedger:
         self.max_block_entries = max_block_entries
         self._clock = clock or (lambda: time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()))
         self._lock = threading.Lock()
-        self._cut_to: Dict[Path, int] = {}
-        # Bytes each journal held when this instance last read or wrote it, so
-        # an append notices another writer; None after a failed write.
-        self._sizes: Dict[Path, Optional[int]] = {}
+        self._block_journal = Journal(self.ledger_path, AnchorError, _is_torn_block)
+        self._pending_journal = Journal(self.pending_path, AnchorError, _TORN_TXID_RE.fullmatch)
         self._blocks: List[LedgerBlock] = []
         # Insertion-ordered set: FIFO for sealing, O(1) membership.
         self._pending: Dict[str, None] = {}
@@ -190,46 +182,9 @@ class SimulatedLedger:
             self._thread = threading.Thread(target=self._seal_loop, daemon=True)
             self._thread.start()
 
-    def _lines(self, path: Path, torn_ok: Callable[[bytes], object]) -> Iterator[bytes]:
-        """Stream a journal's complete lines.
-
-        A last line without its newline is a crash mid-append: it is skipped if
-        ``torn_ok`` accepts it as a record's start, and :meth:`_append` cuts it off.
-        """
-        if not path.exists():
-            return
-        size = 0
-        with path.open("rb") as handle:
-            for line in handle:
-                size += len(line)
-                if not line.endswith(b"\n"):
-                    if not torn_ok(line):
-                        raise ValueError(f"incomplete last line is not a record prefix: {line[:40]!r}")
-                    self._cut_to[path] = size - len(line)
-                    break
-                yield line[:-1]
-        self._sizes[path] = size
-
-    def _append(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("ab") as handle:
-            size = handle.seek(0, io.SEEK_END)
-            known = self._sizes.get(path, 0)
-            if known is not None and size != known:
-                raise AnchorError(
-                    f"{path} is {size} bytes, not the {known} this ledger left: another process writes to it"
-                )
-            end = self._cut_to.setdefault(path, size)  # so a failed write is cut off next time
-            if end < size:
-                handle.truncate(end)
-            self._sizes[path] = None
-            handle.write(data)
-        self._sizes[path] = end + len(data)
-        del self._cut_to[path]
-
     def _load(self) -> None:
         try:
-            for line in self._lines(self.ledger_path, _is_torn_block):
+            for line in self._block_journal.lines():
                 stored = json.loads(line)
                 entries = tuple(BlockEntry(e["txid"], e["sender"], e["tx_hash"]) for e in stored["entries"])
                 number, timestamp = int(stored["block_number"]), str(stored["timestamp"])
@@ -241,7 +196,7 @@ class SimulatedLedger:
         except (KeyError, TypeError, ValueError) as exc:
             raise AnchorError(f"corrupt ledger file {self.ledger_path}: {exc}") from exc
         try:
-            for line in self._lines(self.pending_path, _TORN_TXID_RE.fullmatch):
+            for line in self._pending_journal.lines():
                 txid = validate_txid(line.decode("ascii"))
                 if txid not in self._anchored:
                     self._pending[txid] = None
@@ -255,7 +210,7 @@ class SimulatedLedger:
             if txid in self._anchored:
                 return self._record_locked(txid)
             if txid not in self._pending:
-                self._append(self.pending_path, txid.encode("ascii") + b"\n")
+                self._pending_journal.append(txid.encode("ascii") + b"\n")
                 self._pending[txid] = None
             return AnchorRecord(txid=txid, status=STATUS_SUBMITTED)
 
@@ -293,15 +248,13 @@ class SimulatedLedger:
             )
             block_hash = block_content_hash(block_number, timestamp, entries, previous)
             block = LedgerBlock(block_number, timestamp, entries, previous, block_hash)
-            self._append(self.ledger_path, canonicalize(block.as_dict()) + b"\n")
+            self._block_journal.append(canonicalize(block.as_dict()) + b"\n")
             self._blocks.append(block)
             for entry in entries:
                 self._anchored[entry.txid] = (block_number, entry.tx_hash, entry.sender)
                 del self._pending[entry.txid]
             queued = "".join(txid + "\n" for txid in self._pending).encode("ascii")
-            _atomic_write(self.pending_path, queued)
-            self._sizes[self.pending_path] = len(queued)
-            self._cut_to.pop(self.pending_path, None)
+            self._pending_journal.rewrite(queued)
             return block
 
     def _seal_loop(self) -> None:

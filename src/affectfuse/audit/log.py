@@ -1,9 +1,10 @@
 """Append-only JSONL audit log.
 
-One canonical event per line. Appends are serialized through a lock and
-written with a single O_APPEND write so concurrent turns never tear or
-interleave lines. A failed append is fatal for the turn: an inference that
-cannot be audited must not return silently.
+One canonical event per line. The log is a :class:`Journal`, the line file
+class the ledger's two files use too. Appends are serialized through a lock,
+and each is one ``write`` to a descriptor opened with ``O_APPEND``, so
+concurrent turns never tear or interleave lines. A failed append is fatal
+for the turn: an inference that cannot be audited must not return silently.
 
 Reads go through a table of line-start offsets, so fetching any line costs
 one ``pread`` however long the log is.
@@ -18,10 +19,12 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator, Optional, Type
 
 log = logging.getLogger(__name__)
 
 _SCAN_CHUNK = 1 << 20
+_APPEND_FLAGS = os.O_APPEND | os.O_CREAT | os.O_RDWR
 
 
 class AuditWriteError(OSError):
@@ -67,78 +70,119 @@ def _line_index(opened: _OpenFile) -> array:
     return _line_starts(opened.fd, opened.size)
 
 
-class AuditLog:
-    """Single-writer append handle for one JSONL file.
+class Journal:
+    """An append-only file of ``\\n``-terminated lines with a single writer.
 
-    The handle keeps the byte size the log had after its last append; an
-    append that finds the file another size raises :class:`AuditWriteError`
-    instead of returning a line number another writer may have taken.
-
-    Opening a log whose last line has no newline (a crash mid-append) moves
-    that fragment to ``<log>.torn`` as ``<byte offset> <bytes>\\n`` and cuts the
-    log back to its last complete line, so the next event starts a new line.
+    A last line without its ``\\n`` is torn (a crash mid-append): reading
+    skips it and changes nothing. Before each write the file must still have
+    the size this instance last read or wrote, else ``error`` is raised. A
+    torn tail, or what reached the file of a failed append, is then moved to
+    ``<file>.torn`` as ``<byte offset> <bytes>\\n`` and cut off.
     """
+
+    def __init__(self, path: Path, error: Type[Exception], torn_ok: Optional[Callable[[bytes], object]] = None):
+        self.path = path
+        self._error = error
+        self._torn_ok = torn_ok
+        self._size: Optional[int] = 0  # unknown after a failed write
+        self._end = 0  # where the last complete line ends
+
+    def open(self) -> int:
+        """A new descriptor for appending; the file and its directory are created if missing."""
+        try:
+            return os.open(self.path, _APPEND_FLAGS, 0o644)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(self.path, _APPEND_FLAGS, 0o644)
+
+    def lines(self) -> Iterator[bytes]:
+        """Stream the complete lines; a torn last line that ``torn_ok`` rejects raises ``ValueError``."""
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            end = 0
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    if self._torn_ok is not None and not self._torn_ok(line):
+                        raise ValueError(f"incomplete last line is not a record prefix: {line[:40]!r}")
+                    break
+                end += len(line)
+                yield line[:-1]
+            self._end, self._size = end, handle.tell()
+
+    def _prepare_write(self, fd: int) -> None:
+        size = os.fstat(fd).st_size
+        if self._size is not None and size != self._size:
+            raise self._error(
+                f"{self.path} is {size} bytes, not the {self._size} this log left: another writer appends to it"
+            )
+        if self._end < size:
+            fragment = os.pread(fd, size - self._end, self._end)
+            torn = self.path.with_name(self.path.name + ".torn")
+            with open(torn, "ab") as handle:
+                handle.write(b"%d %s\n" % (self._end, fragment))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.ftruncate(fd, self._end)
+            log.warning("%s ended in a torn line: moved %d bytes at offset %d to %s",
+                        self.path, len(fragment), self._end, torn)
+        self._size = None
+
+    def append(self, data: bytes) -> None:
+        """Append ``data``, one or more complete lines."""
+        fd = self.open()
+        try:
+            self._prepare_write(fd)
+            if os.write(fd, data) != len(data):
+                raise OSError(f"short write to {self.path}")
+        finally:
+            os.close(fd)
+        self._end = self._size = self._end + len(data)
+
+    def rewrite(self, data: bytes) -> None:
+        """Replace the file's contents with ``data`` in one atomic rename."""
+        fd = self.open()
+        try:
+            self._prepare_write(fd)
+        finally:
+            os.close(fd)
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_bytes(data)
+        tmp.replace(self.path)
+        self._end = self._size = len(data)
+
+
+class AuditLog:
+    """Single-writer append handle for one JSONL file, kept as a :class:`Journal`."""
 
     def __init__(self, path: str) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._journal = Journal(self.path, AuditWriteError)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(self.path, os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
-            try:
-                size = os.fstat(self._fd).st_size
-                starts = _line_starts(self._fd, size)
-                if starts[-1] < size:
-                    self._quarantine_torn_tail(starts[-1], size)
-            except OSError:
-                os.close(self._fd)
-                raise
+            os.close(self._journal.open())
+            self._lines = sum(1 for _ in self._journal.lines())
         except OSError as exc:
             raise AuditWriteError(f"cannot open audit log {self.path}: {exc}") from exc
-        self._lines = len(starts) - 1
-        self._size = starts[-1]
-
-    def _quarantine_torn_tail(self, offset: int, size: int) -> None:
-        fragment = os.pread(self._fd, size - offset, offset)
-        torn = self.path.with_name(self.path.name + ".torn")
-        with open(torn, "ab") as handle:
-            handle.write(b"%d %s\n" % (offset, fragment))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.ftruncate(self._fd, offset)
-        log.warning(
-            "audit log %s ended in a torn line: moved %d bytes at offset %d to %s",
-            self.path, len(fragment), offset, torn,
-        )
 
     def append(self, canonical_bytes: bytes) -> int:
         """Append one canonical event and return its 1-based line number."""
         if b"\n" in canonical_bytes:
             raise AuditWriteError("canonical event bytes must not contain newlines")
-        line = canonical_bytes + b"\n"
         with self._lock:
             try:
-                size = os.fstat(self._fd).st_size
-                if size == self._size:
-                    written = os.write(self._fd, line)
+                self._journal.append(canonical_bytes + b"\n")
+            except AuditWriteError:
+                raise
             except OSError as exc:
                 raise AuditWriteError(f"append to {self.path} failed: {exc}") from exc
-            if size != self._size:
-                raise AuditWriteError(
-                    f"{self.path} is {size} bytes, not the {self._size} this log left: "
-                    "another writer appends to it"
-                )
-            self._size += written
-            if written != len(line):
-                raise AuditWriteError(f"short write to {self.path}")
             self._lines += 1
             return self._lines
 
     def close(self) -> None:
-        try:
-            os.close(self._fd)
-        except OSError:
-            pass
+        """Nothing to release: each append opens and closes the file."""
 
     def __enter__(self) -> "AuditLog":
         return self

@@ -66,6 +66,11 @@ class MerkleBatch:
         return len(self._leaves)
 
     def proof(self, index: int) -> MerkleProof:
+        """Inclusion proof for the leaf at ``index``.
+
+        Proof length is ceil(log2(padded leaf count)); a single-leaf batch has
+        an empty sibling list.
+        """
         if not 0 <= index < len(self._leaves):
             raise IndexError(f"leaf index {index} out of range for {len(self._leaves)} leaves")
         siblings: List[str] = []
@@ -79,16 +84,6 @@ class MerkleBatch:
             siblings=tuple(siblings),
             root=self.root,
         )
-
-
-def merkle_proof(leaves: Sequence[str], index: int) -> MerkleProof:
-    """Inclusion proof for the leaf at ``index``.
-
-    Proof length is ceil(log2(padded leaf count)); a single-leaf batch has an
-    empty sibling list. Building the tree is O(n); use MerkleBatch to request
-    many proofs over one batch.
-    """
-    return MerkleBatch(leaves).proof(index)
 
 
 def merkle_verify(proof: MerkleProof) -> bool:

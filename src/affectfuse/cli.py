@@ -27,7 +27,7 @@ from .config import ConfigError, load_config
 from .corpus import generate_synthetic_corpus
 from .evaluate import VARIANTS, run_batch_eval
 from .fuzzy import load_rule_base
-from .metrics import export_metrics, serve_metrics
+from .metrics import MetricsServer, export_metrics
 from .pipeline import Pipeline, TurnInput, explain_event, open_ledger
 
 EXIT_OK = 0
@@ -203,7 +203,7 @@ def _cmd_metrics_serve(args, config) -> int:
 
     registry = MetricsRegistry(config.model_size, config.run_id)
     port = args.port if args.port is not None else config.metrics.port
-    server = serve_metrics(registry, port)
+    server = MetricsServer(registry, port)
     print(json.dumps({"port": server.port, "endpoint": f"http://127.0.0.1:{server.port}/metrics"}))
     sys.stdout.flush()
     try:

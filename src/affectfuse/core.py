@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import unicodedata
 
 #: Canonical label ordering. It is total and stable: ties and serializations
@@ -50,6 +50,17 @@ def read_data_file(path: Optional[str], bundled: str) -> Tuple[str, str]:
         return resources.files("affectfuse.data").joinpath(bundled).read_text(encoding="utf-8"), bundled
     with open(path, encoding="utf-8") as handle:
         return handle.read(), str(path)
+
+
+def data_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """``(1-based line number, stripped line)`` for each data line of a data file.
+
+    Blank lines and ``#`` comments, indented or not, are skipped.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def canonical_label(name: str) -> str:

@@ -19,7 +19,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .core import _strip_accents, dominant_emotion, read_data_file
+from .core import _strip_accents, data_lines, dominant_emotion, read_data_file
 from .fusion import FusionOutcome
 
 log = logging.getLogger(__name__)
@@ -172,26 +172,19 @@ def plan_response(
     )
 
 
-def _parse_templates(lines: Sequence[str], origin: str) -> Dict[str, str]:
-    templates: Dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ValueError(f"{origin}:{lineno}: expected 'key: text'")
-        key, text = line.split(":", 1)
-        templates[key.strip()] = text.strip()
-    return templates
-
-
 def load_templates(path: Optional[str] = None) -> Dict[str, str]:
     """Load the response template table (keys like "joy.plain", "handoff")."""
     text, origin = read_data_file(path, "templates_es.txt")
-    return _parse_templates(text.splitlines(), origin)
+    templates: Dict[str, str] = {}
+    for lineno, line in data_lines(text):
+        if ":" not in line:
+            raise ValueError(f"{origin}:{lineno}: expected 'key: text'")
+        key, value = line.split(":", 1)
+        templates[key.strip()] = value.strip()
+    return templates
 
 
 def load_keywords(path: Optional[str] = None) -> List[str]:
     """Load the sensitive keyword list, one phrase per line."""
     text, _ = read_data_file(path, "keywords_es.txt")
-    return [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    return [line for _, line in data_lines(text)]

@@ -200,7 +200,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 
 class MetricsServer:
-    """Serves /metrics on 127.0.0.1 only, from a daemon thread."""
+    """Serves /metrics on 127.0.0.1 only, from a daemon thread; port 0 picks a free one."""
 
     def __init__(self, registry: MetricsRegistry, port: int) -> None:
         handler = type("_Handler", (_MetricsHandler,), {"registry": registry})
@@ -216,11 +216,6 @@ class MetricsServer:
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=2.0)
-
-
-def serve_metrics(registry: MetricsRegistry, port: int) -> MetricsServer:
-    """Serve /metrics over HTTP on 127.0.0.1; returns a handle with .port and .close()."""
-    return MetricsServer(registry, port)
 
 
 def export_metrics(registry: MetricsRegistry, output_path: Optional[str] = None) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     LABELS,
@@ -19,6 +19,7 @@ from .core import (
     VadState,
     canonical_label,
     clamp,
+    data_lines,
     normalize_distribution,
     read_data_file,
 )
@@ -222,12 +223,15 @@ def text_emotion(
     return EmotionResult(probs=probs, vad=vad, confidence=confidence, metadata=metadata)
 
 
-def _parse_lexicon(lines: Iterable[str], origin: str) -> Dict[str, LexiconEntry]:
+def load_lexicon(path: Optional[str] = None) -> Dict[str, LexiconEntry]:
+    """Load a lexicon TSV (columns: lemma, emotion, weight, valence).
+
+    Spanish emotion names are accepted. Without a path the bundled seed
+    lexicon is used.
+    """
+    text, origin = read_data_file(path, "lexicon_es.tsv")
     lexicon: Dict[str, LexiconEntry] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"{origin}:{lineno}: expected 4 tab-separated columns")
@@ -242,30 +246,13 @@ def _parse_lexicon(lines: Iterable[str], origin: str) -> Dict[str, LexiconEntry]
     return lexicon
 
 
-def load_lexicon(path: Optional[str] = None) -> Dict[str, LexiconEntry]:
-    """Load a lexicon TSV (columns: lemma, emotion, weight, valence).
-
-    Spanish emotion names are accepted. Without a path the bundled seed
-    lexicon is used.
-    """
-    text, origin = read_data_file(path, "lexicon_es.tsv")
-    return _parse_lexicon(text.splitlines(), origin)
-
-
-def _parse_lemmas(lines: Iterable[str], origin: str) -> Dict[str, str]:
+def load_lemma_dictionary(path: Optional[str] = None) -> Dict[str, str]:
+    """Load the surface-to-lemma TSV; bundled seed dictionary by default."""
+    text, origin = read_data_file(path, "lemmas_es.tsv")
     mapping: Dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{origin}:{lineno}: expected 2 tab-separated columns")
         mapping[parts[0].strip()] = parts[1].strip()
     return mapping
-
-
-def load_lemma_dictionary(path: Optional[str] = None) -> Dict[str, str]:
-    """Load the surface-to-lemma TSV; bundled seed dictionary by default."""
-    text, origin = read_data_file(path, "lemmas_es.tsv")
-    return _parse_lemmas(text.splitlines(), origin)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import resource
+import signal
 import tempfile
 import threading
 import time
@@ -116,6 +118,28 @@ def test_torn_last_line_is_quarantined_on_open(tmp_path, caplog):
     with AuditLog(str(path)) as log:
         assert log.append(canonicalize({"n": 5})) == 4
     assert (tmp_path / "events.jsonl.torn").read_bytes().count(b"\n") == 1
+
+
+def test_append_that_fails_part_way_is_cut_back(tmp_path):
+    path = tmp_path / "events.jsonl"
+    first, second, third = (canonicalize({"event": name}) for name in "abc")
+    with AuditLog(str(path)) as log:
+        assert log.append(first) == 1
+        # A file-size limit lets the next append write 4 of its bytes, then fail.
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(first) + 1 + 4, limits[1]))
+        try:
+            with pytest.raises(AuditWriteError):
+                log.append(second)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.stat().st_size == len(first) + 1 + 4
+        assert log.append(third) == 2
+    assert read_event_line(str(path), 2) == third
+    assert path.read_bytes() == first + b"\n" + third + b"\n"
+    assert (tmp_path / "events.jsonl.torn").read_bytes() == b"%d %s\n" % (len(first) + 1, second[:4])
 
 
 # --- line index ---------------------------------------------------------------------------

@@ -144,12 +144,15 @@ def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_pa
     txid = hashlib.sha256(b'{"x":1}').hexdigest()
     audit = tmp_path / "audit"
     SimulatedLedger(str(audit / "ledger.json"), str(audit / "pending.json")).submit(txid)
+    with (audit / "pending.json").open("ab") as handle:  # a crash mid-submit left a torn line
+        handle.write(txid[:30].encode())
     queued = (audit / "pending.json").read_bytes()
     assert main(["--config", config, "anchor-status", "--txid", txid]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["status"] == "submitted"
     assert main(["--config", config, "verify", "--event", str(event), "--txid", txid]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["verdict"] == "not_anchored"
     assert (audit / "pending.json").read_bytes() == queued
+    assert not (audit / "pending.json.torn").exists()
     assert not (audit / "ledger.json").exists()
 
 

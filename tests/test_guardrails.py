@@ -52,6 +52,16 @@ def test_keyword_triggers():
     assert any(r.startswith("keyword:") for r in esc.reasons)
 
 
+def test_data_files_skip_indented_comments_and_count_every_line(tmp_path):
+    keywords = tmp_path / "keywords.txt"
+    keywords.write_text("hola\n  # nota interna\n\n  adiós  \n", encoding="utf-8")
+    assert load_keywords(str(keywords)) == ["hola", "adiós"]
+    templates = tmp_path / "templates.txt"
+    templates.write_text("  # cabecera\n\njoy.plain: Qué bien.\nsin dos puntos\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"templates\.txt:4: expected 'key: text'"):
+        load_templates(str(templates))
+
+
 def test_keyword_matching_ignores_case_and_diacritics():
     esc = evaluate_guardrails(
         outcome({"neutral": 1.0}), "QUIERO HACERME DAÑO", keywords=["hacerme daño"]

@@ -278,9 +278,26 @@ def test_torn_pending_line_is_dropped_and_cut(tmp_path):
     assert reopened.pending == (txid_of(1), txid_of(2))
     reopened.submit(txid_of(4))
     assert pending_path.read_bytes() == "".join(txid_of(n) + "\n" for n in (1, 2, 4)).encode()
+    assert (tmp_path / "pending.json.torn").read_bytes() == b"130 " + txid_of(3)[:30].encode() + b"\n"
     reopened.close()
     assert reopened.status(txid_of(4)).status == "anchored"
     assert reopened.status(txid_of(3)).status == "disabled"
+
+
+def test_pending_rewrite_moves_a_torn_tail_and_refuses_a_second_writer(tmp_path):
+    pending_path = tmp_path / "pending.json"
+    make_ledger(tmp_path).submit(txid_of(1))
+    with pending_path.open("ab") as handle:  # a crash mid-submit
+        handle.write(txid_of(2)[:30].encode())
+    ledger = make_ledger(tmp_path)
+    ledger.seal_pending()
+    assert pending_path.read_bytes() == b""
+    assert (tmp_path / "pending.json.torn").read_bytes() == b"65 " + txid_of(2)[:30].encode() + b"\n"
+    ledger.submit(txid_of(3))
+    make_ledger(tmp_path).submit(txid_of(4))
+    with pytest.raises(AnchorError, match="pending.json"):
+        ledger.seal_pending()
+    assert pending_path.read_bytes() == (txid_of(3) + "\n" + txid_of(4) + "\n").encode()
 
 
 def test_append_that_fails_part_way_is_cut_back(tmp_path):
@@ -391,7 +408,7 @@ def test_crash_restart_anchors_every_submitted_txid_once(steps, max_block_entrie
             else:  # crash: drop the instance without close(), then restart
                 if kind in ("mid_seal", "torn_block") and ledger.pending:
                     # The block line is appended, then the pending rewrite crashes.
-                    with mock.patch.object(ledger_mod, "_atomic_write", side_effect=_Crash):
+                    with mock.patch.object(ledger_mod.Journal, "rewrite", side_effect=_Crash):
                         with pytest.raises(_Crash):
                             ledger.seal_pending()
                     if kind == "torn_block":  # and the block append itself was cut short

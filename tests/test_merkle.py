@@ -7,7 +7,7 @@ import pytest
 
 from affectfuse.audit.merkle import (
     EmptyBatch,
-    merkle_proof,
+    MerkleBatch,
     merkle_root,
     merkle_verify,
 )
@@ -38,7 +38,7 @@ def test_empty_batch_rejected():
 
 
 def test_single_leaf_proof_is_empty():
-    proof = merkle_proof([leaf(0)], 0)
+    proof = MerkleBatch([leaf(0)]).proof(0)
     assert proof.siblings == ()
     assert proof.root == leaf(0)
     assert merkle_verify(proof)
@@ -49,7 +49,7 @@ def test_generate_then_verify_small_sizes():
         leaves = [leaf(n) for n in range(size)]
         root = merkle_root(leaves)
         for index in range(size):
-            proof = merkle_proof(leaves, index)
+            proof = MerkleBatch(leaves).proof(index)
             assert proof.root == root
             assert merkle_verify(proof), (size, index)
 
@@ -59,21 +59,21 @@ def test_proof_length_is_ceil_log2():
 
     for size in (1, 2, 3, 4, 5, 8, 9, 500, 1024):
         leaves = [leaf(n) for n in range(size)]
-        proof = merkle_proof(leaves, size // 2)
+        proof = MerkleBatch(leaves).proof(size // 2)
         expected = math.ceil(math.log2(size)) if size > 1 else 0
         assert len(proof.siblings) == expected
 
 
 def test_altered_leaf_fails():
     leaves = [leaf(n) for n in range(10)]
-    proof = merkle_proof(leaves, 3)
+    proof = MerkleBatch(leaves).proof(3)
     bad = replace(proof, leaf=leaf(99))
     assert not merkle_verify(bad)
 
 
 def test_altered_sibling_fails():
     leaves = [leaf(n) for n in range(10)]
-    proof = merkle_proof(leaves, 3)
+    proof = MerkleBatch(leaves).proof(3)
     siblings = list(proof.siblings)
     siblings[1] = leaf(98)
     assert not merkle_verify(replace(proof, siblings=tuple(siblings)))
@@ -81,10 +81,10 @@ def test_altered_sibling_fails():
 
 def test_altered_root_fails():
     leaves = [leaf(n) for n in range(10)]
-    proof = merkle_proof(leaves, 3)
+    proof = MerkleBatch(leaves).proof(3)
     assert not merkle_verify(replace(proof, root=leaf(97)))
 
 
 def test_out_of_range_index_rejected():
     with pytest.raises(IndexError):
-        merkle_proof([leaf(0)], 1)
+        MerkleBatch([leaf(0)]).proof(1)

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from affectfuse.metrics import MetricsRegistry, export_metrics, serve_metrics
+from affectfuse.metrics import MetricsRegistry, MetricsServer, export_metrics
 
 
 def test_counter_semantics():
@@ -52,7 +52,7 @@ def test_histogram_buckets_cumulative():
 def test_exposition_served_over_http():
     registry = MetricsRegistry("stub", "serve")
     registry.gauge("audio_snr_db", "snr").set(12.0)
-    server = serve_metrics(registry, port=0)
+    server = MetricsServer(registry, port=0)
     try:
         with urllib.request.urlopen(f"http://127.0.0.1:{server.port}/metrics", timeout=2) as response:
             assert response.status == 200
