@@ -113,6 +113,7 @@ class Journal:
             self._end, self._size = end, handle.tell()
 
     def _prepare_write(self, fd: int) -> None:
+        """The checks every write runs first; the size is unknown until the write succeeds."""
         size = os.fstat(fd).st_size
         if self._size is not None and size != self._size:
             raise self._error(
