@@ -1,19 +1,19 @@
 """Per-inference explainability artifacts.
 
-``affectfuse explain`` writes three files for a sealed fuzzy-mode event under
-the artifacts directory, named by txid: a JSON file with the fired rules and
-engine inputs, a CSV rules-conditions matrix, and a grayscale raster of the
-same matrix (binary portable pixmap, 16x16 px per cell, intensity = 255 *
-value) for quick visual inspection of which conditions drove the weight. A
-turn writes none of them.
+``affectfuse explain`` writes three files from the ``fusion_fuzzy`` block of
+a sealed event under the artifacts directory, named by txid: a JSON file with
+the fired rules and engine inputs, a CSV rules-conditions matrix, and a
+grayscale raster of the same matrix (binary portable pixmap, 16x16 px per
+cell, intensity = 255 * value) for quick visual inspection of which
+conditions drove the weight. A turn writes none of them.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
-from ..fuzzy import FuzzyTrace, RuleBase
+from ..fuzzy import RuleBase
 from .canonical import canonicalize
 
 CELL_PX = 16
@@ -29,19 +29,19 @@ def _condition_degree(condition: str, rule_base: RuleBase, inputs: Dict[str, flo
     return variable.sets[set_label](variable.clamp_input(inputs[var_name]))
 
 
-def _matrix(trace: FuzzyTrace, rule_base: RuleBase) -> tuple[List[str], List[List[float]]]:
+def _matrix(block: Mapping[str, object], rule_base: RuleBase) -> tuple[List[str], List[List[float]]]:
     conditions: List[str] = []
-    for rule in trace.fired_rules:
-        for condition in rule.conditions:
+    for rule in block["fired_rules"]:
+        for condition in rule["if"]:
             if condition not in conditions:
                 conditions.append(condition)
     rows: List[List[float]] = []
-    for rule in trace.fired_rules:
+    for rule in block["fired_rules"]:
         row = [
-            _condition_degree(c, rule_base, trace.inputs) if c in rule.conditions else 0.0
+            _condition_degree(c, rule_base, block["inputs"]) if c in rule["if"] else 0.0
             for c in conditions
         ]
-        row.append(rule.strength)
+        row.append(rule["strength"])
         rows.append(row)
     return conditions + ["strength"], rows
 
@@ -67,31 +67,27 @@ def _csv_quote(text: str) -> str:
 
 
 def export_explainability_artifact(
-    trace: FuzzyTrace,
+    block: Mapping[str, object],
     txid: str,
     rule_base: RuleBase,
     output_dir: str,
 ) -> List[Path]:
-    """Write <txid>.json, <txid>.csv, and <txid>.ppm; returns the paths."""
+    """Write <txid>.json, <txid>.csv, and <txid>.ppm; returns the paths.
+
+    ``block`` is a ``fusion_fuzzy`` mapping, the layout of ``FuzzyTrace.as_dict``.
+    """
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         json_path = out / f"{txid}.json"
         csv_path = out / f"{txid}.csv"
         ppm_path = out / f"{txid}.ppm"
+        json_path.write_bytes(canonicalize({"txid": txid, **block}))
 
-        payload = {
-            "txid": txid,
-            "inputs": dict(trace.inputs),
-            "fired_rules": [rule.as_dict() for rule in trace.fired_rules],
-            "out_sets": dict(trace.out_sets),
-        }
-        json_path.write_bytes(canonicalize(payload))
-
-        header, rows = _matrix(trace, rule_base)
+        header, rows = _matrix(block, rule_base)
         lines = ["rule," + ",".join(_csv_quote(h) for h in header)]
-        for rule, row in zip(trace.fired_rules, rows):
-            name = f"IF {' AND '.join(rule.conditions)} THEN {rule.consequent}"
+        for rule, row in zip(block["fired_rules"], rows):
+            name = f"IF {' AND '.join(rule['if'])} THEN {rule['then']}"
             lines.append(_csv_quote(name) + "," + ",".join(f"{v:.6f}" for v in row))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

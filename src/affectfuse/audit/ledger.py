@@ -175,6 +175,9 @@ class SimulatedLedger:
         # Insertion-ordered set: FIFO for sealing, O(1) membership.
         self._pending: Dict[str, None] = {}
         self._anchored: Dict[str, Tuple[int, str, str]] = {}
+        # verify_chain's progress: blocks checked so far, first bad block.
+        self._checked = 0
+        self._broken: Optional[int] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._load()
@@ -279,18 +282,31 @@ class SimulatedLedger:
             return tuple(self._pending)
 
     def verify_chain(self) -> Tuple[bool, Optional[int]]:
-        """Recompute every block hash from genesis.
+        """Recompute the block hashes from genesis.
 
         Returns (True, None) for a valid chain, else (False, block_number) of
         the first block whose stored hash or back-link no longer matches.
+        Blocks never change once loaded or sealed, so each is hashed once
+        per instance: a call checks only the blocks sealed since the last.
         """
-        previous = GENESIS_HASH
-        for block in self.blocks:
+        with self._lock:
+            checked, broken = self._checked, self._broken
+            if broken is not None or checked == len(self._blocks):
+                return broken is None, broken
+            previous = self._blocks[checked - 1].block_hash if checked else GENESIS_HASH
+            fresh = self._blocks[checked:]
+        for block in fresh:  # hashed outside the lock, so submit never waits on it
             recomputed = block_content_hash(block.block_number, block.timestamp, block.entries, previous)
             if block.previous_block_hash != previous or recomputed != block.block_hash:
-                return False, block.block_number
+                broken = block.block_number
+                break
             previous = block.block_hash
-        return True, None
+            checked += 1
+        with self._lock:
+            self._checked = max(self._checked, checked)
+            if self._broken is None:
+                self._broken = broken
+            return self._broken is None, self._broken
 
     def close(self) -> None:
         """Stop the sealing thread and drain the queue.
@@ -327,8 +343,10 @@ def verify_anchorage(
     """Third-party verification of one stored event.
 
     Recomputes SHA-256 over the exact file bytes; a mismatch with the claimed
-    txid is TAMPER_DETECTED regardless of ledger state. Otherwise the ledger
-    is scanned for the txid.
+    txid is TAMPER_DETECTED regardless of ledger state. Otherwise the txid is
+    looked up, and its anchorage counts only if the chain from genesis up to
+    its block still hashes: a break at or before that block is
+    TAMPER_DETECTED too.
     """
     digest = hashlib.sha256(event_bytes).hexdigest()
     if digest != claimed_txid:
@@ -345,6 +363,10 @@ def verify_anchorage(
     if found is None:
         return Verdict(kind=VERDICT_NOT_ANCHORED, detail="digest matches but txid is not anchored")
     block_number, tx_hash, sender = found
+    _, broken = ledger.verify_chain()
+    if broken is not None and broken <= block_number:
+        detail = f"ledger block {broken} no longer matches its stored hash or back-link"
+        return Verdict(VERDICT_TAMPER_DETECTED, block_number, detail=detail)
     return Verdict(
         kind=VERDICT_VERIFIED,
         block_number=block_number,

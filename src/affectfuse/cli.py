@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .audit import (
-    SimulatedLedger,
     compute_txid,
     parse_canonical,
     read_event_line,
@@ -27,7 +26,7 @@ from .config import ConfigError, load_config
 from .corpus import generate_synthetic_corpus
 from .evaluate import VARIANTS, run_batch_eval
 from .fuzzy import load_rule_base
-from .metrics import MetricsServer, export_metrics
+from .metrics import MetricsRegistry, MetricsServer, export_metrics
 from .pipeline import Pipeline, TurnInput, explain_event, open_ledger
 
 EXIT_OK = 0
@@ -47,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--asr-confidence", type=float, required=True)
     analyze.add_argument("--session", default="cli")
     analyze.add_argument("--metrics-dump", default=None, help="write exposition text here")
+    analyze.set_defaults(run=_cmd_analyze)
 
     batch = commands.add_parser("batch-eval", help="evaluate variants over a manifest")
     batch.add_argument("--manifest", required=True)
@@ -54,28 +54,34 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--variants", default=",".join(VARIANTS))
     batch.add_argument("--ablations", default="")
     batch.add_argument("--metrics-dump", default=None)
+    batch.set_defaults(run=_cmd_batch_eval)
 
     gen = commands.add_parser("gen-corpus", help="generate a synthetic corpus")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--size", type=int, required=True)
     gen.add_argument("--noise-levels", default=None, help="comma-separated dB levels")
+    gen.set_defaults(run=_cmd_gen_corpus)
 
     verify = commands.add_parser("verify", help="verify a stored event against the ledger")
     _add_event_arguments(verify)
+    verify.set_defaults(run=_cmd_verify)
 
     explain = commands.add_parser(
         "explain", help="write a stored fuzzy event's explainability files to audit.artifacts_dir"
     )
     _add_event_arguments(explain)
+    explain.set_defaults(run=_cmd_explain)
 
     status = commands.add_parser("anchor-status", help="anchoring status of a txid")
     status.add_argument("--txid", required=True)
+    status.set_defaults(run=_cmd_anchor_status)
 
     serve = commands.add_parser("metrics-serve", help="serve /metrics while processing a manifest")
     serve.add_argument("--manifest", required=True)
     serve.add_argument("--port", type=int, default=None)
     serve.add_argument("--hold", type=float, default=None, help="seconds to keep serving (default: forever)")
+    serve.set_defaults(run=_cmd_metrics_serve)
 
     return parser
 
@@ -92,20 +98,6 @@ def _read_event(args) -> bytes:
         return read_event_line(args.event, args.line)
     event_bytes = Path(args.event).read_bytes()
     return event_bytes[:-1] if event_bytes.endswith(b"\n") else event_bytes
-
-
-def _open_ledger(config, readonly_ok: bool = True) -> Optional[SimulatedLedger]:
-    """Open the ledger for reading only; callers do not close it.
-
-    ``close()`` seals the pending queue, and blocks appended by a second
-    process behind the owning pipeline's back would fork the chain.
-    """
-    try:
-        return open_ledger(config)
-    except AnchorError:
-        if readonly_ok:
-            return None
-        raise
 
 
 def _cmd_analyze(args, config) -> int:
@@ -136,8 +128,6 @@ def _cmd_analyze(args, config) -> int:
 def _cmd_batch_eval(args, config) -> int:
     variants = [v for v in args.variants.split(",") if v]
     ablations = [a for a in args.ablations.split(",") if a]
-    from .metrics import MetricsRegistry
-
     registry = MetricsRegistry(config.model_size, config.run_id)
     report = run_batch_eval(
         args.manifest,
@@ -162,7 +152,7 @@ def _cmd_batch_eval(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_corpus(args) -> int:
+def _cmd_gen_corpus(args, _config) -> int:
     levels = None
     if args.noise_levels:
         levels = [float(v) for v in args.noise_levels.split(",")]
@@ -171,8 +161,15 @@ def _cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
+# The read commands (verify, anchor-status) never close the ledger they open:
+# close() seals the pending queue, and blocks appended by a second process
+# behind the owning pipeline's back would fork the chain.
 def _cmd_verify(args, config) -> int:
-    verdict = verify_anchorage(_read_event(args), args.txid, _open_ledger(config))
+    try:
+        ledger = open_ledger(config)
+    except AnchorError:
+        ledger = None  # the verdict is "unavailable"
+    verdict = verify_anchorage(_read_event(args), args.txid, ledger)
     print(json.dumps(verdict.as_dict(), indent=2))
     return EXIT_OK if verdict.kind == VERDICT_VERIFIED else EXIT_VERIFY
 
@@ -193,14 +190,12 @@ def _cmd_explain(args, config) -> int:
 
 
 def _cmd_anchor_status(args, config) -> int:
-    record = _open_ledger(config, readonly_ok=False).status(args.txid)
+    record = open_ledger(config).status(args.txid)
     print(json.dumps(record.as_dict(), indent=2))
     return EXIT_OK
 
 
 def _cmd_metrics_serve(args, config) -> int:
-    from .metrics import MetricsRegistry
-
     registry = MetricsRegistry(config.model_size, config.run_id)
     port = args.port if args.port is not None else config.metrics.port
     server = MetricsServer(registry, port)
@@ -221,36 +216,20 @@ def _cmd_metrics_serve(args, config) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args, config)
-        if args.command == "batch-eval":
-            return _cmd_batch_eval(args, config)
-        if args.command == "gen-corpus":
-            return _cmd_gen_corpus(args)
-        if args.command == "verify":
-            return _cmd_verify(args, config)
-        if args.command == "explain":
-            return _cmd_explain(args, config)
-        if args.command == "anchor-status":
-            return _cmd_anchor_status(args, config)
-        if args.command == "metrics-serve":
-            return _cmd_metrics_serve(args, config)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # surfaced with a stable exit code for scripting
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """Batch evaluation over a JSONL manifest.
 
-Variants: text_only and audio_only use a single channel; linear mixes with
-w_text equal to the manifest ASR confidence; fuzzy runs the full pipeline
-(including auditing). Ablations mix the same channel outputs with a forced
-weight: no_text (0), no_audio (1), no_gating (raw confidence, so it reuses
-the linear prediction), fixed_weight (0.5). Each row computes its channels
-once: every variant reads the fuzzy turn's channel outputs, or, when fuzzy
-is not requested, those of ``pipeline.run_channels``. The report carries
-per-class and macro/weighted precision/recall/F1, accuracy, class-normalized
-confusion matrices, and a disagreement analysis counting rows where the
-fuzzy variant is correct and a baseline is wrong.
+Variants: fuzzy runs the full pipeline (including auditing). Every other
+variant and ablation is one weighted mix of the same channel outputs,
+``w_text * p_text + (1 - w_text) * p_audio``, with w_text 1 for text_only
+and no_audio, 0 for audio_only and no_text, 0.5 for fixed_weight, and the
+row's manifest ASR confidence for linear and no_gating. Each row computes
+its channels once: every variant reads the fuzzy turn's channel outputs,
+or, when fuzzy is not requested, those of ``pipeline.run_channels``. The
+report carries per-class and macro/weighted precision/recall/F1, accuracy,
+class-normalized confusion matrices, and a disagreement analysis counting
+rows where the fuzzy variant is correct and a baseline is wrong.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ from .pipeline import Clock, ManifestStubAsr, Pipeline, TurnInput, run_channels
 VARIANTS = ("text_only", "audio_only", "linear", "fuzzy")
 ABLATIONS = ("no_text", "no_audio", "no_gating", "fixed_weight")
 
-_ABLATION_WEIGHT = {"no_text": 0.0, "no_audio": 1.0, "fixed_weight": 0.5}
+#: w_text of every variant and ablation but fuzzy; None is the row's asr_confidence.
+_MIX_WEIGHT: Dict[str, Optional[float]] = {
+    "text_only": 1.0, "no_audio": 1.0, "audio_only": 0.0, "no_text": 0.0,
+    "fixed_weight": 0.5, "linear": None, "no_gating": None,
+}
 
 
 @dataclass(frozen=True)
@@ -188,8 +192,6 @@ def run_batch_eval(
         lemmas = text_mod.load_lemma_dictionary(config.text.lemmas_path)
         asr = ManifestStubAsr()
 
-    golds: List[str] = []
-    predictions: Dict[str, List[str]] = {name: [] for name in (*variants, *ablations)}
     row_records: List[Dict[str, object]] = []
     skipped: List[str] = []
 
@@ -207,45 +209,32 @@ def run_batch_eval(
             # Row ids are unique, so each fuzzy turn opens a fresh session
             # whose smoother passes the raw arousal through, exactly like the
             # fresh smoother of the channel-only path.
-            fuzzy_pred = None
+            record: Dict[str, object] = {"id": row.row_id, "gold": row.label}
             if pipeline is not None:
                 result = pipeline.run_turn(turn)
                 audio_result, text_result = result.audio, result.text
-                fuzzy_pred = str(result.event["final"]["dominant"])
+                record["fuzzy"] = str(result.event["final"]["dominant"])
             else:
                 smoother = audio_mod.ArousalSmoother(alpha=config.audio.alpha_ema)
                 _, _, audio_result, text_result = run_channels(
                     turn, config, smoother, lexicon, lemmas, asr, lambda _stage: nullcontext()
                 )
 
-            linear_pred = None
-            record: Dict[str, object] = {"id": row.row_id, "gold": row.label}
             for name in (*variants, *ablations):
-                if name == "fuzzy":
-                    pred = fuzzy_pred
-                elif name == "text_only":
-                    pred = dominant_emotion(text_result.probs)[0]
-                elif name == "audio_only":
-                    pred = dominant_emotion(audio_result.probs)[0]
-                elif name in ("linear", "no_gating"):
-                    if linear_pred is None:
-                        mixed = fuse_distributions(
-                            text_result.probs, audio_result.probs, row.asr_confidence
-                        )
-                        linear_pred = dominant_emotion(mixed)[0]
-                    pred = linear_pred
-                else:
-                    mixed = fuse_distributions(
-                        text_result.probs, audio_result.probs, _ABLATION_WEIGHT[name]
-                    )
-                    pred = dominant_emotion(mixed)[0]
-                predictions[name].append(pred)
-                record[name] = pred
-            golds.append(row.label)
+                if name != "fuzzy":
+                    w_text = _MIX_WEIGHT[name]
+                    w_text = row.asr_confidence if w_text is None else w_text
+                    mixed = fuse_distributions(text_result.probs, audio_result.probs, w_text)
+                    record[name] = dominant_emotion(mixed)[0]
             row_records.append(record)
     finally:
         if pipeline is not None:
             pipeline.close()
+
+    golds = [record["gold"] for record in row_records]
+
+    def scores(name: str) -> Dict[str, object]:
+        return classification_metrics(golds, [record[name] for record in row_records])
 
     report: Dict[str, object] = {
         "manifest": str(manifest_path),
@@ -254,34 +243,25 @@ def run_batch_eval(
         "skipped_ids": skipped,
         "run_id": config.run_id,
         "model_size": config.model_size,
-        "variants": {name: classification_metrics(golds, predictions[name]) for name in variants},
-        "ablations": {name: classification_metrics(golds, predictions[name]) for name in ablations},
+        "variants": {name: scores(name) for name in variants},
+        "ablations": {name: scores(name) for name in ablations},
         "predictions": row_records,
     }
 
     if "fuzzy" in variants:
-        fuzzy_preds = predictions["fuzzy"]
-        disagreements: Dict[str, object] = {}
-        for name in variants:
-            if name == "fuzzy":
-                continue
-            corrected = [
-                row_records[i]["id"]
-                for i in range(len(golds))
-                if fuzzy_preds[i] == golds[i] and predictions[name][i] != golds[i]
-            ]
-            disagreements[f"fuzzy_corrects_{name}"] = len(corrected)
-            disagreements[f"fuzzy_corrects_{name}_ids"] = corrected
+        compared = {name: (name,) for name in variants if name != "fuzzy"}
         if "text_only" in variants and "linear" in variants:
-            both = [
-                row_records[i]["id"]
-                for i in range(len(golds))
-                if fuzzy_preds[i] == golds[i]
-                and predictions["text_only"][i] != golds[i]
-                and predictions["linear"][i] != golds[i]
+            compared["text_and_linear"] = ("text_only", "linear")
+        disagreements: Dict[str, object] = {}
+        for key, baselines in compared.items():
+            # rows that fuzzy gets right and every one of the baselines gets wrong
+            ids = [
+                record["id"]
+                for record in row_records
+                if record["fuzzy"] == record["gold"] and all(record[n] != record["gold"] for n in baselines)
             ]
-            disagreements["fuzzy_corrects_text_and_linear"] = len(both)
-            disagreements["fuzzy_corrects_text_and_linear_ids"] = both
+            disagreements[f"fuzzy_corrects_{key}"] = len(ids)
+            disagreements[f"fuzzy_corrects_{key}_ids"] = ids
         report["disagreements"] = disagreements
 
     if out_dir is not None:

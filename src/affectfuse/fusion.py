@@ -132,22 +132,19 @@ def fuse(
     The engine receives the adjusted ASR confidence, the audio arousal, and
     the mean of the channel valences. Engine failure (zero rule coverage or
     any internal error) is not an error here: the linear fallback sets
-    w_text to the adjusted confidence and the outcome records the mode.
+    w_text to the adjusted confidence, the outcome records the mode, and its
+    trace is None exactly then. Any failure other than zero coverage also
+    logs a warning.
     """
     engine_valence = (audio_result.vad.valence + text_result.vad.valence) / 2.0
     trace: Optional[FuzzyTrace] = None
     try:
         trace = infer_w_text(rule_base, adjusted_asr_conf, audio_result.vad.arousal, engine_valence)
-        w_text = trace.w_text
-        mode = MODE_FUZZY
-    except ZeroActivation:
-        w_text = adjusted_asr_conf
-        mode = MODE_LINEAR_FALLBACK
-    except Exception:
-        log.warning("fuzzy engine failed; using linear fallback", exc_info=True)
-        trace = None
-        w_text = adjusted_asr_conf
-        mode = MODE_LINEAR_FALLBACK
+        w_text, mode = trace.w_text, MODE_FUZZY
+    except Exception as exc:
+        if not isinstance(exc, ZeroActivation):
+            log.warning("fuzzy engine failed; using linear fallback", exc_info=True)
+        w_text, mode = adjusted_asr_conf, MODE_LINEAR_FALLBACK
 
     coherence = coherence_index(
         audio_result.vad, text_result.vad, range_normalized=range_normalized_coherence
@@ -161,5 +158,5 @@ def fuse(
         w_audio=1.0 - w_text,
         mode=mode,
         coherence=coherence,
-        trace=trace if mode == MODE_FUZZY else None,
+        trace=trace,
     )

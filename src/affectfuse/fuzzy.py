@@ -122,19 +122,6 @@ class FuzzyTrace:
             "out_sets": dict(self.out_sets),
         }
 
-    @classmethod
-    def from_dict(cls, block: Mapping[str, object], w_text: float) -> "FuzzyTrace":
-        """Inverse of ``as_dict``; the block does not carry the crisp weight."""
-        return cls(
-            inputs=dict(block["inputs"]),
-            fired_rules=tuple(
-                FiredRule(tuple(rule["if"]), rule["then"], rule["strength"])
-                for rule in block["fired_rules"]
-            ),
-            out_sets=dict(block["out_sets"]),
-            w_text=w_text,
-        )
-
 
 @dataclass(frozen=True)
 class RuleBase:

@@ -36,8 +36,8 @@ from .audit import (
 )
 from .config import ConfigError, PipelineConfig
 from .core import EmotionResult, dominant_emotion
-from .fusion import MODE_FUZZY, adjust_asr_confidence, fuse
-from .fuzzy import FuzzyTrace, RuleBase, load_rule_base
+from .fusion import adjust_asr_confidence, fuse
+from .fuzzy import RuleBase, load_rule_base
 from .guardrails import (
     evaluate_guardrails,
     load_keywords,
@@ -301,7 +301,7 @@ class Pipeline:
                 "response": redacted["response"],
                 "redaction": report.as_dict(),
             }
-            if outcome.mode == MODE_FUZZY and outcome.trace is not None:
+            if outcome.trace is not None:
                 event["fusion_fuzzy"] = outcome.trace.as_dict()
             if escalation.triggered:
                 event["escalation"] = escalation.as_dict()
@@ -357,13 +357,14 @@ def explain_event(
 ) -> List[Path]:
     """Write ``<txid>.json/.csv/.ppm`` for a sealed event; returns the paths.
 
-    The trace is rebuilt from the ``fusion_fuzzy`` block and ``weights.w_text``
-    that ``Pipeline.run_turn`` sealed. The event's ``rule_base`` label must
-    name ``rule_base``, whose membership functions fill the condition matrix.
-    The caller checks that ``txid`` is the hash of the line the event came
-    from. JSON and CSV match the live turn's export byte for byte. Sealed
-    numbers keep 12 fractional digits, so where ``255 * value`` falls next to
-    a .5 boundary a PPM cell can round one grey level away from the live one.
+    The files are rendered from the ``fusion_fuzzy`` block that
+    ``Pipeline.run_turn`` sealed, exactly as stored. The event's
+    ``rule_base`` label must name ``rule_base``, whose membership functions
+    fill the condition matrix. The caller checks that ``txid`` is the hash of
+    the line the event came from. JSON and CSV match an export of the live
+    trace byte for byte. Sealed numbers keep 12 fractional digits, so where
+    ``255 * value`` falls next to a .5 boundary a PPM cell can round one grey
+    level away from the live one.
     """
     block = event.get("fusion_fuzzy")
     if block is None:
@@ -373,5 +374,4 @@ def explain_event(
             f"event {txid} was inferred with rule base {event.get('rule_base')!r}, "
             f"but the configured rule base is {rule_base.rule_base_id!r}"
         )
-    trace = FuzzyTrace.from_dict(block, w_text=event["weights"]["w_text"])
-    return export_explainability_artifact(trace, txid, rule_base, output_dir)
+    return export_explainability_artifact(block, txid, rule_base, output_dir)

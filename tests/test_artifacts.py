@@ -13,20 +13,21 @@ TXID = "ab" * 32
 
 
 @pytest.fixture
-def golden_trace():
-    return infer_w_text(TRACE_BASE, *GOLDEN)
+def golden_block():
+    """The ``fusion_fuzzy`` block a turn with the golden inputs seals."""
+    return infer_w_text(TRACE_BASE, *GOLDEN).as_dict()
 
 
-def test_artifact_files_created(tmp_path, golden_trace):
-    paths = export_explainability_artifact(golden_trace, TXID, TRACE_BASE, str(tmp_path))
+def test_artifact_files_created(tmp_path, golden_block):
+    paths = export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(tmp_path))
     names = sorted(p.name for p in paths)
     assert names == [f"{TXID}.csv", f"{TXID}.json", f"{TXID}.ppm"]
     for path in paths:
         assert path.exists() and path.stat().st_size > 0
 
 
-def test_artifact_json_structure(tmp_path, golden_trace):
-    export_explainability_artifact(golden_trace, TXID, TRACE_BASE, str(tmp_path))
+def test_artifact_json_structure(tmp_path, golden_block):
+    export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(tmp_path))
     payload = json.loads((tmp_path / f"{TXID}.json").read_text())
     assert payload["txid"] == TXID
     assert len(payload["fired_rules"]) == 3
@@ -38,8 +39,8 @@ def test_artifact_json_structure(tmp_path, golden_trace):
         assert set(rule) == {"if", "then", "strength"}
 
 
-def test_ppm_dimensions_and_intensities(tmp_path, golden_trace):
-    export_explainability_artifact(golden_trace, TXID, TRACE_BASE, str(tmp_path))
+def test_ppm_dimensions_and_intensities(tmp_path, golden_block):
+    export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(tmp_path))
     data = (tmp_path / f"{TXID}.ppm").read_bytes()
     assert data.startswith(b"P6\n")
     header, rest = data.split(b"\n255\n", 1)
@@ -59,8 +60,8 @@ def test_ppm_dimensions_and_intensities(tmp_path, golden_trace):
     assert cell_value(2, 4) == 255
 
 
-def test_csv_matrix(tmp_path, golden_trace):
-    export_explainability_artifact(golden_trace, TXID, TRACE_BASE, str(tmp_path))
+def test_csv_matrix(tmp_path, golden_block):
+    export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(tmp_path))
     lines = (tmp_path / f"{TXID}.csv").read_text().strip().splitlines()
     assert lines[0].startswith("rule,")
     assert lines[0].endswith(",strength")
@@ -69,8 +70,8 @@ def test_csv_matrix(tmp_path, golden_trace):
     assert lines[1].split(",")[-1] == f"{0.9164147094676369:.6f}"
 
 
-def test_export_error_on_unwritable_target(tmp_path, golden_trace):
+def test_export_error_on_unwritable_target(tmp_path, golden_block):
     blocker = tmp_path / "occupied"
     blocker.write_text("file, not a directory")
     with pytest.raises(ExportError):
-        export_explainability_artifact(golden_trace, TXID, TRACE_BASE, str(blocker))
+        export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(blocker))

@@ -137,6 +137,23 @@ def test_verify_reads_the_last_line_of_a_long_log(workspace, capsys):
     assert "has no line 2001" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_txid_whose_block_no_longer_hashes(workspace, capsys, tmp_path):
+    _, config, _ = workspace
+    event = tmp_path / "event.json"
+    event.write_bytes(b'{"x":1}')
+    txid = hashlib.sha256(b'{"x":1}').hexdigest()
+    audit = tmp_path / "audit"
+    with SimulatedLedger(str(audit / "ledger.json"), str(audit / "pending.json")) as ledger:
+        ledger.submit(txid)
+    block = json.loads((audit / "ledger.json").read_bytes())
+    block["timestamp"] = "1999-01-01T00:00:00+00:00"
+    (audit / "ledger.json").write_bytes(canonicalize(block) + b"\n")
+    assert main(["--config", config, "verify", "--event", str(event), "--txid", txid]) == EXIT_VERIFY
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "tamper_detected"
+    assert verdict["block_number"] == 0
+
+
 def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_path):
     _, config, _ = workspace
     event = tmp_path / "event.json"

@@ -260,3 +260,19 @@ def test_each_row_runs_each_channel_once(tmp_path, small_corpus, pinned_clock, m
     rows = report["rows"]
     assert rows == 24
     assert calls == {"load_wav": rows, "audio_emotion": rows, "text_emotion": rows}
+
+
+#: SHA-256 of the whole seed-424 report but its manifest path (metrics,
+#: confusion matrices, disagreements and predictions), measured while each
+#: baseline still had its own code path; one weighted mix must not move it.
+SMALL_CORPUS_REPORT_SHA256 = "de97cbe2d25733c344e56175a827615fa2f225facfd145b9adaf51f3d813eac6"
+
+
+def test_report_digest_pinned(tmp_path, small_corpus, pinned_clock):
+    report = run_batch_eval(
+        str(small_corpus), make_test_config(tmp_path), VARIANTS, ABLATIONS,
+        out_dir=str(tmp_path / "out"), clock=pinned_clock,
+    )
+    del report["manifest"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == SMALL_CORPUS_REPORT_SHA256

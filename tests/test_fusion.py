@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affectfuse import fusion as fusion_mod
 from affectfuse.core import EmotionResult, VadState, dominant_emotion, normalize_distribution
 from affectfuse.fusion import (
     MODE_FUZZY,
@@ -151,7 +154,7 @@ def test_fuse_reproduces_golden_trace():
     assert outcome.w_text + outcome.w_audio == 1.0
 
 
-def test_zero_coverage_base_falls_back():
+def test_zero_coverage_base_falls_back(caplog):
     empty = parse_rule_base(
         {
             "id": "empty",
@@ -166,10 +169,27 @@ def test_zero_coverage_base_falls_back():
     )
     audio = result({"neutral": 1.0}, valence=0.0, arousal=0.5)
     text = result({"joy": 1.0}, valence=0.5, arousal=0.3)
-    outcome = fuse(text, audio, 0.7, empty)
+    with caplog.at_level(logging.WARNING, logger="affectfuse.fusion"):
+        outcome = fuse(text, audio, 0.7, empty)
     assert outcome.mode == MODE_LINEAR_FALLBACK
     assert outcome.w_text == 0.7
     assert outcome.trace is None
+    assert not caplog.records  # zero coverage is expected, not an engine fault
+
+
+def test_engine_error_falls_back_with_one_warning(monkeypatch, caplog):
+    def broken(*_args):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(fusion_mod, "infer_w_text", broken)
+    audio = result({"neutral": 1.0}, valence=0.0, arousal=0.5)
+    text = result({"joy": 1.0}, valence=0.5, arousal=0.3)
+    with caplog.at_level(logging.WARNING, logger="affectfuse.fusion"):
+        outcome = fuse(text, audio, 0.63, TRACE_BASE)
+    assert outcome.mode == MODE_LINEAR_FALLBACK
+    assert outcome.trace is None
+    assert outcome.w_text == 0.63
+    assert [record.levelno for record in caplog.records] == [logging.WARNING]
 
 
 def test_reliable_text_overrides_misleading_audio():

@@ -153,6 +153,72 @@ def test_verify_anchorage_not_anchored(tmp_path):
         assert verdict.kind == "not_anchored"
 
 
+def tampered_chain(tmp_path, block_number):
+    """Ten events sealed four to a block, then block ``block_number`` edited on disk.
+
+    Its timestamp and its first txid change, so the block no longer hashes to
+    its stored hash. Returns the event bytes in submit order.
+    """
+    events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
+    with make_ledger(tmp_path, max_block_entries=4) as ledger:
+        for event in events:
+            ledger.submit(compute_txid(event))
+    ledger_path = tmp_path / "ledger.json"
+    lines = ledger_path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 3
+    block = json.loads(lines[block_number])
+    block["timestamp"] = "2026-08-12T00:00:00+00:00"
+    block["entries"][0]["txid"] = txid_of(999)
+    lines[block_number] = canonicalize(block) + b"\n"
+    ledger_path.write_bytes(b"".join(lines))
+    return events
+
+
+def test_verify_anchorage_detects_a_block_that_no_longer_hashes(tmp_path):
+    events = tampered_chain(tmp_path, 0)
+    ledger = make_ledger(tmp_path, max_block_entries=4)
+    assert ledger.verify_chain() == (False, 0)
+    for n in (1, 9):  # untouched txids in block 0 and block 2
+        verdict = verify_anchorage(events[n], compute_txid(events[n]), ledger)
+        assert verdict.kind == "tamper_detected"
+        assert verdict.block_number == n // 4
+        assert "ledger block 0 " in verdict.detail
+
+
+def test_verify_anchorage_trusts_blocks_before_the_break(tmp_path):
+    events = tampered_chain(tmp_path, 1)
+    ledger = make_ledger(tmp_path, max_block_entries=4)
+    verdict = verify_anchorage(events[2], compute_txid(events[2]), ledger)
+    assert verdict.kind == "verified" and verdict.block_number == 0
+    verdict = verify_anchorage(events[9], compute_txid(events[9]), ledger)
+    assert verdict.kind == "tamper_detected" and "ledger block 1 " in verdict.detail
+    assert ledger.verify_chain() == (False, 1)
+
+
+def test_verify_chain_hashes_each_block_once(tmp_path, monkeypatch):
+    hashed = []
+    content_hash = ledger_mod.block_content_hash
+
+    def counting(number, *args):
+        hashed.append(number)
+        return content_hash(number, *args)
+
+    with make_ledger(tmp_path, max_block_entries=4) as ledger:
+        for n in range(10):
+            ledger.submit(txid_of(n))
+        ledger.seal_pending()
+        monkeypatch.setattr(ledger_mod, "block_content_hash", counting)
+        for n in range(4):  # each lookup checks the chain up to its block
+            assert verify_anchorage(str(n).encode(), txid_of(n), ledger).kind == "verified"
+        assert ledger.verify_chain() == (True, None)
+        assert hashed == [0]
+        while ledger.seal_pending() is not None:
+            pass
+        hashed.clear()  # sealing hashes the blocks it makes
+        assert ledger.verify_chain() == (True, None)
+        assert hashed == [1, 2]
+
+
 def test_verify_anchorage_unavailable():
     event = canonicalize({"case": "nowhere"})
     verdict = verify_anchorage(event, compute_txid(event), None)

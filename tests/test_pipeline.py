@@ -70,7 +70,7 @@ def assert_rebuilt_like_live(result, trace, rule_base, rebuilt_dir, live_dir):
     """Files rebuilt from the sealed line against the live trace's export."""
     event = parse_canonical(result.canonical)
     rebuilt = explain_event(event, result.txid, rule_base, str(rebuilt_dir))
-    live = export_explainability_artifact(trace, result.txid, rule_base, str(live_dir))
+    live = export_explainability_artifact(trace.as_dict(), result.txid, rule_base, str(live_dir))
     assert [p.name for p in rebuilt] == [p.name for p in live]
     for suffix in (".json", ".csv"):
         name = f"{result.txid}{suffix}"
