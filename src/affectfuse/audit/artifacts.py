@@ -17,10 +17,11 @@ from ..fuzzy import RuleBase
 from .canonical import canonicalize
 
 CELL_PX = 16
+BLOCK_KEYS = {"inputs", "fired_rules", "out_sets"}
 
 
 class ExportError(RuntimeError):
-    """Artifact files could not be written; ``affectfuse explain`` exits 3."""
+    """Artifact files could not be written or the block is malformed; ``affectfuse explain`` exits 3."""
 
 
 def _condition_degree(condition: str, rule_base: RuleBase, inputs: Dict[str, float]) -> float:
@@ -74,8 +75,11 @@ def export_explainability_artifact(
 ) -> List[Path]:
     """Write <txid>.json, <txid>.csv, and <txid>.ppm; returns the paths.
 
-    ``block`` is a ``fusion_fuzzy`` mapping, the layout of ``FuzzyTrace.as_dict``.
+    ``block`` is a ``fusion_fuzzy`` mapping, the layout of ``FuzzyTrace.as_dict``;
+    a block with other keys is refused.
     """
+    if set(block) != BLOCK_KEYS:
+        raise ExportError(f"fusion_fuzzy block has keys {sorted(block)}, expected {sorted(BLOCK_KEYS)}")
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -191,6 +191,8 @@ class SimulatedLedger:
                 stored = json.loads(line)
                 entries = tuple(BlockEntry(e["txid"], e["sender"], e["tx_hash"]) for e in stored["entries"])
                 number, timestamp = int(stored["block_number"]), str(stored["timestamp"])
+                if number != len(self._blocks):
+                    raise ValueError(f"block {number} is stored at position {len(self._blocks)}")
                 previous, block_hash = str(stored["previous_block_hash"]), str(stored["block_hash"])
                 block = LedgerBlock(number, timestamp, entries, previous, block_hash)
                 self._blocks.append(block)
@@ -231,10 +233,19 @@ class SimulatedLedger:
             return AnchorRecord(txid=txid, status=STATUS_SUBMITTED)
         return AnchorRecord(txid=txid, status=STATUS_DISABLED)
 
-    def lookup(self, txid: str) -> Optional[Tuple[int, str, str]]:
-        """(block_number, tx_hash, sender) for an anchored txid, else None."""
+    def lookup(self, txid: str) -> Optional[Tuple[int, str, str, Optional[int]]]:
+        """(block_number, tx_hash, sender, broken) for an anchored txid, else None.
+
+        ``broken`` is what ``verify_chain`` reports: the first block that no
+        longer hashes, or None.
+        """
         with self._lock:
-            return self._anchored.get(txid)
+            found = self._anchored.get(txid)
+            if found is None:
+                return None
+            if self._checked != len(self._blocks):
+                self._check_chain()
+            return found + (self._broken,)
 
     def seal_pending(self) -> Optional[LedgerBlock]:
         """Seal queued txids into the next block; None when the queue is empty."""
@@ -290,23 +301,21 @@ class SimulatedLedger:
         per instance: a call checks only the blocks sealed since the last.
         """
         with self._lock:
-            checked, broken = self._checked, self._broken
-            if broken is not None or checked == len(self._blocks):
-                return broken is None, broken
-            previous = self._blocks[checked - 1].block_hash if checked else GENESIS_HASH
-            fresh = self._blocks[checked:]
-        for block in fresh:  # hashed outside the lock, so submit never waits on it
+            self._check_chain()
+            return self._broken is None, self._broken
+
+    def _check_chain(self) -> None:
+        """Hash the blocks not yet checked, stopping at the first bad one; caller holds the lock."""
+        if self._broken is not None:
+            return
+        previous = self._blocks[self._checked - 1].block_hash if self._checked else GENESIS_HASH
+        for block in self._blocks[self._checked:]:
             recomputed = block_content_hash(block.block_number, block.timestamp, block.entries, previous)
             if block.previous_block_hash != previous or recomputed != block.block_hash:
-                broken = block.block_number
-                break
+                self._broken = block.block_number
+                return
             previous = block.block_hash
-            checked += 1
-        with self._lock:
-            self._checked = max(self._checked, checked)
-            if self._broken is None:
-                self._broken = broken
-            return self._broken is None, self._broken
+            self._checked += 1
 
     def close(self) -> None:
         """Stop the sealing thread and drain the queue.
@@ -362,8 +371,7 @@ def verify_anchorage(
         return Verdict(kind=VERDICT_UNAVAILABLE, detail=str(exc))
     if found is None:
         return Verdict(kind=VERDICT_NOT_ANCHORED, detail="digest matches but txid is not anchored")
-    block_number, tx_hash, sender = found
-    _, broken = ledger.verify_chain()
+    block_number, tx_hash, sender, broken = found
     if broken is not None and broken <= block_number:
         detail = f"ledger block {broken} no longer matches its stored hash or back-link"
         return Verdict(VERDICT_TAMPER_DETECTED, block_number, detail=detail)

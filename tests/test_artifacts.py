@@ -75,3 +75,14 @@ def test_export_error_on_unwritable_target(tmp_path, golden_block):
     blocker.write_text("file, not a directory")
     with pytest.raises(ExportError):
         export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(blocker))
+
+
+@pytest.mark.parametrize("change", ["extra txid", "missing out_sets"])
+def test_export_refuses_a_block_with_other_keys(tmp_path, golden_block, change):
+    if change == "extra txid":
+        golden_block["txid"] = "cd" * 32
+    else:
+        del golden_block["out_sets"]
+    with pytest.raises(ExportError, match="fusion_fuzzy block has keys"):
+        export_explainability_artifact(golden_block, TXID, TRACE_BASE, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []

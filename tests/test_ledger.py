@@ -153,11 +153,12 @@ def test_verify_anchorage_not_anchored(tmp_path):
         assert verdict.kind == "not_anchored"
 
 
-def tampered_chain(tmp_path, block_number):
+def tampered_chain(tmp_path, block_number, renumber_to=None):
     """Ten events sealed four to a block, then block ``block_number`` edited on disk.
 
     Its timestamp and its first txid change, so the block no longer hashes to
-    its stored hash. Returns the event bytes in submit order.
+    its stored hash; with ``renumber_to`` its stored number changes as well.
+    Returns the event bytes in submit order.
     """
     events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
     with make_ledger(tmp_path, max_block_entries=4) as ledger:
@@ -169,6 +170,8 @@ def tampered_chain(tmp_path, block_number):
     block = json.loads(lines[block_number])
     block["timestamp"] = "2026-08-12T00:00:00+00:00"
     block["entries"][0]["txid"] = txid_of(999)
+    if renumber_to is not None:
+        block["block_number"] = renumber_to
     lines[block_number] = canonicalize(block) + b"\n"
     ledger_path.write_bytes(b"".join(lines))
     return events
@@ -195,6 +198,13 @@ def test_verify_anchorage_trusts_blocks_before_the_break(tmp_path):
     assert ledger.verify_chain() == (False, 1)
 
 
+def test_a_renumbered_block_is_refused_on_load(tmp_path):
+    """A stored number that is not the block's position would hide the break."""
+    tampered_chain(tmp_path, 0, renumber_to=99)
+    with pytest.raises(AnchorError, match="block 99 is stored at position 0"):
+        make_ledger(tmp_path, max_block_entries=4)
+
+
 def test_verify_chain_hashes_each_block_once(tmp_path, monkeypatch):
     hashed = []
     content_hash = ledger_mod.block_content_hash
@@ -208,7 +218,7 @@ def test_verify_chain_hashes_each_block_once(tmp_path, monkeypatch):
             ledger.submit(txid_of(n))
         ledger.seal_pending()
         monkeypatch.setattr(ledger_mod, "block_content_hash", counting)
-        for n in range(4):  # each lookup checks the chain up to its block
+        for n in range(4):  # the first lookup hashes the sealed block, the rest reuse it
             assert verify_anchorage(str(n).encode(), txid_of(n), ledger).kind == "verified"
         assert ledger.verify_chain() == (True, None)
         assert hashed == [0]
@@ -442,6 +452,35 @@ def test_concurrent_submits_with_background_sealing(tmp_path):
     assert sorted(sealed) == sorted(expected)
     assert reopened.pending == ()
     assert reopened.verify_chain() == (True, None)
+
+
+def test_concurrent_chain_checks_hash_each_block_once(tmp_path, monkeypatch):
+    hashed, chains = [], set()
+    content_hash = ledger_mod.block_content_hash
+
+    def counting(number, *args):
+        hashed.append(number)
+        time.sleep(0.001)  # lets the other checkers run mid-chain
+        return content_hash(number, *args)
+
+    def check():
+        start.wait(timeout=10)
+        chains.add(ledger.verify_chain())
+
+    with make_ledger(tmp_path, max_block_entries=1) as ledger:
+        for n in range(20):
+            ledger.submit(txid_of(n))
+    ledger = make_ledger(tmp_path)
+    monkeypatch.setattr(ledger_mod, "block_content_hash", counting)
+    start = threading.Barrier(4)
+    threads = [threading.Thread(target=check) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert chains == {(True, None)}
+    assert sorted(hashed) == list(range(20))
 
 
 class _Crash(Exception):
