@@ -14,13 +14,12 @@ gating:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.fft import dct
-from scipy.io import wavfile
 
 from .core import EmotionResult, VadState, clamp
 
@@ -47,8 +46,30 @@ DEFAULT_SNR_BLOCK = 512
 _FRAME_SECONDS = 0.025
 _HOP_SECONDS = 0.010
 _N_FILTERS = 26
-_N_MFCC = 13
 _TIMBRE_SCALE = 20.0
+# Frames per FFT block: the windowed frames pass through one reused buffer.
+_FFT_BLOCK_FRAMES = 64
+
+# pocketfft's DCT-II twiddles for n = 26, w[i] = cos(2*pi*(i + 1) / 104), as
+# pocketfft computes them: w[9], w[12] and w[19..24] sit 1-2 ulps off the
+# correctly rounded cosine, so np.cos would not do. Pinned so `mfcc_dct`
+# reproduces scipy.fft.dct bit for bit; each entry used by coefficients 1..12
+# was the only match within 8 ulps in a search against scipy. w[12] only
+# feeds coefficient 13, which is not computed.
+_DCT_TWIDDLES = np.array([float.fromhex(h) for h in (
+    "0x1.ff10ddc21c94ep-1", "0x1.fc44566966769p-1", "0x1.f79d074810a9cp-1",
+    "0x1.f11f493053d00p-1", "0x1.e8d12c64ed0c6p-1", "0x1.deba72ef20147p-1",
+    "0x1.d2e4895f86e4bp-1", "0x1.c55a7e00740e9p-1", "0x1.b628f68220c30p-1",
+    "0x1.a55e242a4c3d3p-1", "0x1.9309b69255ab1p-1", "0x1.7f3ccd0032e0cp-1",
+    "0x1.6a09e667f3bccp-1", "0x1.5384d024c2f84p-1", "0x1.3bc2937987fa6p-1",
+    "0x1.22d961ea71119p-1", "0x1.08e08081c11b4p-1", "0x1.dbe064267c47cp-2",
+    "0x1.a44341251de6ep-2", "0x1.6b1d8b2365da0p-2", "0x1.30a4a3fb12a92p-2",
+    "0x1.ea1e54bc48dc0p-3", "0x1.71298da2ccbc6p-3", "0x1.edb7debaa3ed9p-4",
+    "0x1.ee9ee2f9ee4c0p-5",
+)])
+_DCT_W_LOW = _DCT_TWIDDLES[0:12, None]  # w[k - 1] for k = 1..12
+_DCT_W_HIGH = _DCT_TWIDDLES[24:12:-1, None]  # w[25 - k] for k = 1..12
+_DCT_SCALE = float(1 / np.sqrt(np.longdouble(2 * _N_FILTERS)))
 
 
 class EmptyAudio(ValueError):
@@ -208,13 +229,44 @@ def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
+def mfcc_dct(log_mel: np.ndarray) -> np.ndarray:
+    """Coefficients 1..12 of the orthonormal DCT-II of each 26-band row.
+
+    Equal bit for bit to ``scipy.fft.dct(log_mel, type=2, axis=1,
+    norm="ortho")[:, 1:13]``: it follows pocketfft's DCT-II, a pre-pass, one
+    half-complex inverse real FFT and a twiddle post-pass, in the same order
+    of operations. Returns a C-contiguous (frames, 12) array.
+    """
+    if log_mel.ndim != 2 or log_mel.shape[1] != _N_FILTERS:
+        raise ValueError(f"expected (frames, {_N_FILTERS}) log-mel rows, got {log_mel.shape}")
+    c = np.ascontiguousarray(log_mel.T)  # one band per row
+    # Half-complex input [2*c0, c1+c2 + i(c2-c1), ..., c23+c24 + i(c24-c23), 2*c25].
+    packed = np.empty((_N_FILTERS // 2 + 1, c.shape[1]), dtype=np.complex128)
+    packed.real[0] = c[0] * 2.0
+    packed.real[-1] = c[-1] * 2.0
+    packed.imag[[0, -1]] = 0.0
+    np.add(c[1:-1:2], c[2:-1:2], out=packed.real[1:-1])
+    np.subtract(c[2:-1:2], c[1:-1:2], out=packed.imag[1:-1])
+    y = np.fft.irfft(packed, n=_N_FILTERS, axis=0, norm="forward")
+    y *= _DCT_SCALE
+    low, high = y[1:13], y[25:13:-1]  # y[k] and y[26 - k] for k = 1..12
+    out = _DCT_W_LOW * high
+    out += _DCT_W_HIGH * low
+    diff = _DCT_W_LOW * low
+    diff -= _DCT_W_HIGH * high
+    out += diff
+    out *= 0.5
+    # np.mean sums in memory order, so the layout is part of the result.
+    return np.ascontiguousarray(out.T)
+
+
 def mfcc_timbre_score(samples: np.ndarray, sample_rate: int) -> Optional[float]:
     """Timbre score in [0, 1] from frame-averaged MFCC magnitudes.
 
-    Mean absolute value of coefficients 2..13 (13 computed, 26-filter mel
-    bank, 25 ms frames, 10 ms hop), mapped through min(1, value / 20).
-    Returns None when no full frame fits or the buffer carries no energy
-    (timbre is undefined for silence).
+    Mean absolute value of coefficients 2..13 (26-filter mel bank, 25 ms
+    frames, 10 ms hop), mapped through min(1, value / 20). Returns None when
+    no full frame fits or the buffer carries no energy (timbre is undefined
+    for silence).
     """
     frame = int(round(_FRAME_SECONDS * sample_rate))
     hop = int(round(_HOP_SECONDS * sample_rate))
@@ -222,11 +274,22 @@ def mfcc_timbre_score(samples: np.ndarray, sample_rate: int) -> Optional[float]:
         return None
     windows = np.lib.stride_tricks.sliding_window_view(samples, frame)[::hop]
     n_fft = 1 << (frame - 1).bit_length()
-    spectra = np.abs(np.fft.rfft(windows * _hamming_window(frame), n=n_fft)) ** 2
-    bank = _mel_filterbank(_N_FILTERS, n_fft, sample_rate)
-    log_energy = np.log(np.maximum(spectra @ bank.T, 1e-12))
-    coeffs = dct(log_energy, type=2, axis=1, norm="ortho")[:, :_N_MFCC]
-    magnitude = float(np.mean(np.abs(coeffs[:, 1:])))
+    window = _hamming_window(frame)
+    n_frames = windows.shape[0]
+    block = np.zeros((min(_FFT_BLOCK_FRAMES, n_frames), n_fft))  # zero-padded tail stays 0
+    power = np.empty((n_frames, n_fft // 2 + 1))
+    for start in range(0, n_frames, _FFT_BLOCK_FRAMES):
+        rows = windows[start : start + _FFT_BLOCK_FRAMES]
+        count = rows.shape[0]
+        np.multiply(rows, window, out=block[:count, :frame])
+        np.abs(np.fft.rfft(block[:count]), out=power[start : start + count])
+    np.square(power, out=power)
+    # One product over all frames: OpenBLAS picks its kernel by row count,
+    # so a blockwise product would change the last bits.
+    log_energy = power @ _mel_filterbank(_N_FILTERS, n_fft, sample_rate).T
+    np.maximum(log_energy, 1e-12, out=log_energy)
+    np.log(log_energy, out=log_energy)
+    magnitude = float(np.mean(np.abs(mfcc_dct(log_energy))))
     return min(1.0, magnitude / _TIMBRE_SCALE)
 
 
@@ -317,6 +380,86 @@ def audio_emotion(
     )
 
 
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_IEEE_FLOAT = 0x0003
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+#: Last 12 bytes of a KSDATAFORMAT_SUBTYPE GUID; the first 4 hold the format tag.
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _wav_sample_dtype(format_tag: int, container: int, bits: int) -> str:
+    """numpy dtype of one stored sample; "s24" for packed 24-bit PCM."""
+    if format_tag == _WAVE_FORMAT_PCM:
+        if container == 1 and 1 <= bits <= 8:
+            return "u1"  # 8-bit WAV is unsigned
+        if container in (2, 3, 4) and 8 < bits <= 8 * container:
+            return {2: "<i2", 3: "s24", 4: "<i4"}[container]
+    elif format_tag == _WAVE_FORMAT_IEEE_FLOAT and bits in (32, 64) and container == bits // 8:
+        return f"<f{container}"
+    raise ValueError(f"unsupported WAV sample format: tag {format_tag:#x}, {bits} bits in {container} bytes")
+
+
+def read_wav(path: str) -> Tuple[int, np.ndarray]:
+    """Read a little-endian RIFF/WAVE file as ``(sample_rate, samples)``.
+
+    The result matches ``scipy.io.wavfile.read``: u8 PCM as uint8, 16- and
+    32-bit PCM as int16 and int32, 24-bit PCM as int32 holding the sample in
+    its upper three bytes, IEEE float as float32 or float64; shape (frames,)
+    for mono and (frames, channels) otherwise. Plain and
+    WAVE_FORMAT_EXTENSIBLE headers are read; chunks other than ``fmt `` and
+    ``data`` are skipped with their pad byte. A ``data`` chunk cut short is
+    read up to its last whole frame. Anything else, big-endian RIFX and RF64
+    included, raises ValueError.
+    """
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size < 12 or raw[:4].tobytes() != b"RIFF" or raw[8:12].tobytes() != b"WAVE":
+        raise ValueError(f"{path}: not a little-endian RIFF/WAVE file")
+    fmt = None
+    pos = 12
+    while True:
+        if pos + 8 > raw.size:
+            raise ValueError(f"{path}: no data chunk")
+        chunk_id = raw[pos : pos + 4].tobytes()
+        (size,) = struct.unpack_from("<I", raw, pos + 4)
+        pos += 8
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            fmt = _read_fmt_chunk(raw[pos : pos + size].tobytes(), path)
+        pos += size + (size & 1)
+    if fmt is None:
+        raise ValueError(f"{path}: no fmt chunk before the data chunk")
+    rate, channels, block_align, dtype = fmt
+    frames = min(size, raw.size - pos) // block_align
+    data = raw[pos : pos + frames * block_align]
+    if dtype == "s24":
+        padded = np.zeros((data.size // 3, 4), dtype=np.uint8)
+        padded[:, 1:] = data.reshape(-1, 3)
+        samples = padded.view("<i4").reshape(-1)
+    else:
+        samples = data.view(dtype)
+    if channels > 1:
+        samples = samples.reshape(-1, channels)
+    return rate, samples
+
+
+def _read_fmt_chunk(body: bytes, path: str) -> Tuple[int, int, int, str]:
+    """``(sample_rate, channels, block_align, dtype)`` from a ``fmt `` chunk body."""
+    if len(body) < 16:
+        raise ValueError(f"{path}: fmt chunk is {len(body)} bytes, less than 16")
+    format_tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if format_tag == _WAVE_FORMAT_EXTENSIBLE:
+        if len(body) < 40 or struct.unpack_from("<H", body, 16)[0] < 22:
+            raise ValueError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk is too short")
+        if body[28:40] == _SUBFORMAT_GUID_TAIL:
+            (format_tag,) = struct.unpack_from("<I", body, 24)
+    if channels < 1 or block_align % channels:
+        raise ValueError(f"{path}: {block_align}-byte frames do not hold {channels} channels")
+    if format_tag == _WAVE_FORMAT_PCM and byte_rate != rate * block_align:
+        raise ValueError(f"{path}: byte rate {byte_rate} is not sample rate {rate} x block align {block_align}")
+    return rate, channels, block_align, _wav_sample_dtype(format_tag, block_align // channels, bits)
+
+
 def _pcm_to_float(data: np.ndarray) -> np.ndarray:
     if data.dtype == np.uint8:
         return (data.astype(np.float64) - 128.0) / 128.0
@@ -324,9 +467,7 @@ def _pcm_to_float(data: np.ndarray) -> np.ndarray:
         return data.astype(np.float64) / 32768.0
     if data.dtype == np.int32:
         return data.astype(np.float64) / 2147483648.0
-    if data.dtype in (np.float32, np.float64):
-        return data.astype(np.float64)
-    raise ValueError(f"unsupported WAV sample format: {data.dtype}")
+    return data.astype(np.float64)  # float32 or float64
 
 
 def resample_linear(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
@@ -341,13 +482,13 @@ def resample_linear(samples: np.ndarray, rate: int, target_rate: int) -> np.ndar
 
 
 def load_wav(path: str) -> AudioBuffer:
-    """Read a WAV file (8/16/24/32-bit PCM or 32-bit float) as a 16 kHz buffer.
+    """Read a WAV file (8/16/24/32-bit PCM or 32/64-bit float) as a 16 kHz buffer.
 
     Multi-channel audio is downmixed by arithmetic mean; other sample rates
     are resampled by linear interpolation; samples are clamped to [-1, 1]
     and a NaN sample raises NaNAudio.
     """
-    rate, data = wavfile.read(path)
+    rate, data = read_wav(path)
     if data.size == 0:
         raise EmptyAudio(f"no samples in {path}")
     samples = _pcm_to_float(data)

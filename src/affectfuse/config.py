@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-import yaml
-
 from .audio import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR, DEFAULT_SNR_BLOCK
 from .audit.ledger import DEFAULT_BLOCK_INTERVAL, DEFAULT_MAX_BLOCK_ENTRIES, DEFAULT_SENDER
+from .core import load_yaml
 from .fusion import (
     DEFAULT_SNR_LOW_DB,
     DEFAULT_SNR_LOW_FACTOR,
@@ -155,7 +154,7 @@ def _apply_file(config: PipelineConfig, path: str) -> None:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    data = yaml.safe_load(text) or {}
+    data = load_yaml(text) or {}
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
     base = Path(path).resolve().parent

@@ -13,6 +13,8 @@ from importlib import resources
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import unicodedata
 
+import yaml
+
 #: Canonical label ordering. It is total and stable: ties and serializations
 #: always follow this order.
 LABELS: Tuple[str, ...] = ("joy", "sadness", "anger", "fear", "disgust", "neutral")
@@ -50,6 +52,16 @@ def read_data_file(path: Optional[str], bundled: str) -> Tuple[str, str]:
         return resources.files("affectfuse.data").joinpath(bundled).read_text(encoding="utf-8"), bundled
     with open(path, encoding="utf-8") as handle:
         return handle.read(), str(path)
+
+
+#: libyaml's parser when PyYAML was built with it, else the pure-Python one.
+#: Both build values with the same Python SafeConstructor.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(text: str) -> Any:
+    """Parse YAML text with the safe constructor (rule bases and config files)."""
+    return yaml.load(text, Loader=_YAML_LOADER)
 
 
 def data_lines(text: str) -> Iterator[Tuple[int, str]]:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-import yaml
 
-from .core import clamp, read_data_file
+from .core import clamp, load_yaml, read_data_file
 
 GRID_POINTS = 1001
 
@@ -290,7 +289,7 @@ def load_rule_base(path: Optional[str] = None, builtin: str = "default") -> Rule
     """
     bundled = {"default": "rules_default.yaml", "trace": "rules_trace.yaml"}[builtin]
     text, origin = read_data_file(path, bundled)
-    parsed = yaml.safe_load(text)
+    parsed = load_yaml(text)
     if not isinstance(parsed, Mapping):
         raise InvalidRuleBase(f"{origin}: top level must be a mapping")
     return parse_rule_base(parsed, origin)

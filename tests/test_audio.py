@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from affectfuse.audio import (
     derive_audio_vad,
     extract_acoustic_features,
     load_wav,
+    mfcc_dct,
+    read_wav,
     resample_linear,
     va_prototype_distribution,
 )
@@ -487,3 +494,176 @@ def test_cached_tables_are_read_only():
         window[0] = 1.0
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
+
+
+# --- DCT against scipy --------------------------------------------------------
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_mfcc_dct_matches_scipy_on_random_rows():
+    from scipy.fft import dct
+
+    rng = np.random.default_rng(26)
+    rows = rng.standard_normal((50_000, 26)) * 10.0 ** rng.uniform(-6, 6, size=(50_000, 1))
+    got = mfcc_dct(rows)
+    assert got.flags.c_contiguous
+    _assert_bits_equal(got, dct(rows, type=2, axis=1, norm="ortho")[:, 1:13])
+
+
+@pytest.mark.parametrize("name", sorted(_golden_buffers()))
+def test_mfcc_dct_matches_scipy_on_golden_log_mel(name):
+    from scipy.fft import dct
+
+    samples = AudioBuffer(samples=_golden_buffers()[name][0]).samples
+    frames = np.lib.stride_tricks.sliding_window_view(samples, 400)[::160]
+    power = np.abs(np.fft.rfft(frames * _hamming_window(400), n=512)) ** 2
+    log_mel = np.log(np.maximum(power @ _mel_filterbank(26, 512, 16000).T, 1e-12))
+    got = mfcc_dct(log_mel)
+    assert got.flags.c_contiguous
+    _assert_bits_equal(got, dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:13])
+
+
+def test_mfcc_dct_rejects_other_band_counts():
+    with pytest.raises(ValueError):
+        mfcc_dct(np.zeros((4, 13)))
+
+
+def test_runtime_modules_do_not_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, affectfuse.cli, affectfuse.pipeline, affectfuse.evaluate; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# --- WAV reader against scipy -------------------------------------------------
+
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+#: name -> (format tag, bits per sample, container bytes)
+_WAV_FORMATS = {
+    "u8": (_PCM, 8, 1),
+    "s16": (_PCM, 16, 2),
+    "s24": (_PCM, 24, 3),
+    "s32": (_PCM, 32, 4),
+    "f32": (_FLOAT, 32, 4),
+    "f64": (_FLOAT, 64, 8),
+}
+
+
+def _fmt_chunk(tag, channels, rate, bits, container, extensible=False):
+    block_align = channels * container
+    fields = [channels, rate, rate * block_align, block_align, bits]
+    if not extensible:
+        return b"fmt " + struct.pack("<IHHIIHH", 16, tag, *fields)
+    ext = struct.pack("<HHI", 22, bits, 0) + struct.pack("<I", tag) + _GUID_TAIL
+    return b"fmt " + struct.pack("<IHHIIHH", 40, _EXTENSIBLE, *fields) + ext
+
+
+def _wav_bytes(fmt, payload, chunks=b"", data_size=None, magic=b"RIFF"):
+    size = len(payload) if data_size is None else data_size
+    body = b"WAVE" + fmt + chunks + b"data" + struct.pack("<I", size) + payload
+    return magic + struct.pack("<I", len(body)) + body
+
+
+def _payload(name, values):
+    """Raw little-endian sample bytes for (frames, channels) values in [-1, 1)."""
+    if name == "u8":
+        return np.round(values * 127 + 128).astype(np.uint8).tobytes()
+    if name == "s24":
+        ints = np.round(values * (2**23 - 1)).astype("<i4").reshape(-1)
+        return ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    dtype = {"s16": "<i2", "s32": "<i4", "f32": "<f4", "f64": "<f8"}[name]
+    if name.startswith("f"):
+        return values.astype(dtype).tobytes()
+    return np.round(values * (np.iinfo(dtype).max)).astype(dtype).tobytes()
+
+
+def _check_against_scipy(path):
+    from scipy.io import wavfile
+
+    rate, data = read_wav(str(path))
+    want_rate, want = wavfile.read(str(path))
+    assert rate == want_rate
+    assert data.dtype == want.dtype
+    assert data.shape == want.shape
+    np.testing.assert_array_equal(data, want)
+    return data
+
+
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("name", sorted(_WAV_FORMATS))
+def test_read_wav_matches_scipy(tmp_path, name, channels, extensible):
+    tag, bits, container = _WAV_FORMATS[name]
+    values = np.random.default_rng(container).uniform(-1, 1, (1000, channels))
+    path = tmp_path / f"{name}.wav"
+    fmt = _fmt_chunk(tag, channels, 22050, bits, container, extensible)
+    path.write_bytes(_wav_bytes(fmt, _payload(name, values)))
+    data = _check_against_scipy(path)
+    assert data.shape == ((1000,) if channels == 1 else (1000, channels))
+
+
+def test_read_wav_skips_odd_list_chunk(tmp_path):
+    values = np.random.default_rng(3).uniform(-1, 1, (500, 2))
+    fmt = _fmt_chunk(_PCM, 2, 16000, 16, 2)
+    chunk = b"LIST" + struct.pack("<I", 5) + b"INFOx" + b"\x00"  # pad byte after odd size
+    path = tmp_path / "list.wav"
+    path.write_bytes(_wav_bytes(fmt, _payload("s16", values), chunks=chunk))
+    assert _check_against_scipy(path).shape == (500, 2)
+
+
+@pytest.mark.parametrize("name,cut", [("s16", 301), ("s24", 6), ("f32", 5)])
+def test_read_wav_truncated_data_chunk(tmp_path, name, cut):
+    tag, bits, container = _WAV_FORMATS[name]
+    values = np.random.default_rng(5).uniform(-1, 1, (400, 1))
+    payload = _payload(name, values)
+    path = tmp_path / "cut.wav"
+    fmt = _fmt_chunk(tag, 1, 16000, bits, container)
+    path.write_bytes(_wav_bytes(fmt, payload[:-cut], data_size=len(payload)))
+    data = _check_against_scipy(path)
+    assert data.size == (len(payload) - cut) // container
+
+
+def test_read_wav_truncated_stereo_keeps_whole_frames(tmp_path):
+    values = np.random.default_rng(6).uniform(-1, 1, (100, 2))
+    payload = _payload("s16", values)
+    path = tmp_path / "cut.wav"
+    fmt = _fmt_chunk(_PCM, 2, 16000, 16, 2)
+    path.write_bytes(_wav_bytes(fmt, payload[:-2], data_size=len(payload)))
+    rate, data = read_wav(str(path))
+    assert data.shape == (99, 2)
+    np.testing.assert_array_equal(data, np.frombuffer(payload, "<i2").reshape(-1, 2)[:99])
+
+
+def _bad_wav_files():
+    s16 = _fmt_chunk(_PCM, 1, 16000, 16, 2)
+    payload = b"\x00\x01" * 100
+    return {
+        "not_riff": b"OggS" + b"\x00" * 60,
+        "no_data_chunk": b"RIFF" + struct.pack("<I", 4 + len(s16)) + b"WAVE" + s16,
+        "rifx": _wav_bytes(s16, payload, magic=b"RIFX"),
+        "pcm_64_bit": _wav_bytes(_fmt_chunk(_PCM, 1, 16000, 64, 8), payload),
+        "float_16_bit": _wav_bytes(_fmt_chunk(_FLOAT, 1, 16000, 16, 2), payload),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_wav_files()))
+def test_read_wav_refuses(tmp_path, case):
+    path = tmp_path / f"{case}.wav"
+    path.write_bytes(_bad_wav_files()[case])
+    with pytest.raises(ValueError):
+        read_wav(str(path))
+    with pytest.raises(ValueError):
+        load_wav(str(path))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+import yaml
 
 from affectfuse.config import ConfigError, PipelineConfig, load_config, validate_config
+from affectfuse.core import load_yaml, read_data_file
 
 
 def test_defaults_load_without_file():
@@ -107,3 +111,20 @@ def test_block_interval_validated():
     config.anchoring.block_interval = 0.0
     with pytest.raises(ConfigError):
         validate_config(config)
+
+
+def _yaml_file_text(name):
+    if name == "config.example.yaml":
+        return (Path(__file__).resolve().parents[1] / name).read_text(encoding="utf-8")
+    return read_data_file(None, name)[0]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", ["rules_default.yaml", "rules_trace.yaml", "config.example.yaml"])
+def test_shipped_yaml_parses_equal_under_both_loaders(name):
+    text = _yaml_file_text(name)
+    pure = yaml.load(text, Loader=yaml.SafeLoader)
+    assert pure
+    # repr also tells 1 from 1.0 and True from 1
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(pure)
+    assert repr(load_yaml(text)) == repr(pure)
