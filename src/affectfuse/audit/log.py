@@ -7,24 +7,30 @@ concurrent turns never tear or interleave lines. A failed append is fatal
 for the turn: an inference that cannot be audited must not return silently.
 
 Reads go through a table of line-start offsets, so fetching any line costs
-one ``pread`` however long the log is.
+one ``stat`` and one ``pread`` however long the log is. The table is kept
+with the read-only descriptor it was built from, for the last
+``_READERS_MAX`` log paths read. A cached descriptor is read and closed only
+under ``_readers_lock``, so no thread reads one that another has closed.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 import threading
 from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Type
+from typing import Callable, Dict, Iterator, Optional, Tuple, Type
 
 log = logging.getLogger(__name__)
 
 _SCAN_CHUNK = 1 << 20
 _APPEND_FLAGS = os.O_APPEND | os.O_CREAT | os.O_RDWR
+_READERS_MAX = 4
+
+# Log path -> (stat key, read-only descriptor, line starts), least recently used first.
+_readers: Dict[str, Tuple[tuple, int, array]] = {}
+_readers_lock = threading.Lock()
 
 
 class AuditWriteError(OSError):
@@ -45,29 +51,6 @@ def _line_starts(fd: int, size: int) -> array:
             starts.append(base + at + 1)
             at = chunk.find(b"\n", at + 1)
     return starts
-
-
-@dataclass(frozen=True)
-class _OpenFile:
-    """An open file, equal to another only when its fstat state is the same.
-
-    ``ctime`` cannot be set from user space, so an append, rewrite, truncation
-    or ``os.replace`` changes the key and the cached index is rebuilt. Where
-    the kernel keeps coarse timestamps, a rewrite that keeps the size within
-    one clock tick of the last lookup keeps the key too.
-    """
-
-    dev: int
-    ino: int
-    size: int
-    mtime_ns: int
-    ctime_ns: int
-    fd: int = field(compare=False)
-
-
-@functools.lru_cache(maxsize=4)
-def _line_index(opened: _OpenFile) -> array:
-    return _line_starts(opened.fd, opened.size)
 
 
 class Journal:
@@ -192,22 +175,64 @@ class AuditLog:
         self.close()
 
 
+def _stat_key(st: os.stat_result) -> tuple:
+    """What must stay equal for a cached line table to still describe the file.
+
+    ``ctime`` cannot be set from user space, so an append, rewrite, truncation
+    or ``os.replace`` changes the key. Where the kernel keeps coarse
+    timestamps, a rewrite that keeps the size within one clock tick of the
+    last lookup keeps the key too.
+    """
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _drop_reader(log_path: str) -> None:
+    """Close and forget the cached descriptor of ``log_path``; hold ``_readers_lock``."""
+    reader = _readers.pop(log_path, None)
+    if reader is not None:
+        os.close(reader[1])
+
+
+def _pread_line(reader: Tuple[tuple, int, array], log_path: str, line_number: int) -> bytes:
+    key, fd, starts = reader
+    size = key[2]
+    if 1 <= line_number < len(starts):
+        start, stop = starts[line_number - 1], starts[line_number] - 1
+    elif line_number == len(starts) and starts[-1] < size:
+        start, stop = starts[-1], size
+    else:
+        raise AuditWriteError(f"{log_path} has no line {line_number}")
+    return os.pread(fd, stop - start, start)
+
+
 def read_event_line(log_path: str, line_number: int) -> bytes:
     """Return the exact bytes of one event line (without the newline).
 
-    A last line without its newline is returned as it stands.
+    A last line without its newline is returned as it stands. While the
+    file's :func:`_stat_key` is unchanged a lookup costs one ``stat`` and one
+    ``pread``; otherwise the file is reopened and its line table rebuilt.
     """
+    try:
+        key = _stat_key(os.stat(log_path))
+    except OSError:
+        with _readers_lock:
+            _drop_reader(log_path)
+        raise
+    with _readers_lock:
+        reader = _readers.get(log_path)
+        if reader is not None and reader[0] == key:
+            _readers[log_path] = _readers.pop(log_path)  # now the most recently used
+            return _pread_line(reader, log_path, line_number)
     fd = os.open(log_path, os.O_RDONLY)
     try:
-        st = os.fstat(fd)
-        opened = _OpenFile(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns, fd)
-        starts = _line_index(opened)
-        if 1 <= line_number < len(starts):
-            start, stop = starts[line_number - 1], starts[line_number] - 1
-        elif line_number == len(starts) and starts[-1] < opened.size:
-            start, stop = starts[-1], opened.size
-        else:
-            raise AuditWriteError(f"{log_path} has no line {line_number}")
-        return os.pread(fd, stop - start, start)
-    finally:
+        st = os.fstat(fd)  # the table must describe this descriptor's file
+        reader = (_stat_key(st), fd, _line_starts(fd, st.st_size))
+    except BaseException:
         os.close(fd)
+        raise
+    with _readers_lock:
+        _drop_reader(log_path)  # stale, or cached by another thread meanwhile
+        _readers[log_path] = reader
+        while len(_readers) > _READERS_MAX:
+            os.close(_readers.pop(next(iter(_readers)))[1])
+        return _pread_line(reader, log_path, line_number)

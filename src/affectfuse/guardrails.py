@@ -10,12 +10,9 @@ returns the safe-handoff template.
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import logging
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -79,24 +76,40 @@ def evaluate_guardrails(
 _WEBHOOK_SCHEMES = ("http", "https")
 
 
-class _WebhookRedirects(urllib.request.HTTPRedirectHandler):
-    """Follow a webhook's redirects only to http(s) URLs, and repeat the POST
-    with its body on 307 and 308 as HTTP asks; 301-303 still turn into GET.
+@functools.lru_cache(maxsize=None)
+def _webhook_opener():
+    """The webhook's urllib opener and redirect handler class.
+
+    urllib, ``http.client``, ``ssl`` and ``email`` load here, on the first
+    webhook post, so processes that never post one do not pay for them.
     """
+    import urllib.error
+    import urllib.parse
+    import urllib.request
 
-    http_error_308 = urllib.request.HTTPRedirectHandler.http_error_302  # not in 3.10
+    class _WebhookRedirects(urllib.request.HTTPRedirectHandler):
+        """Follow a webhook's redirects only to http(s) URLs, and repeat the POST
+        with its body on 307 and 308 as HTTP asks; 301-303 still turn into GET.
+        """
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        if urllib.parse.urlsplit(newurl).scheme not in _WEBHOOK_SCHEMES:
-            raise urllib.error.HTTPError(newurl, code, msg, headers, fp)
-        if code in (307, 308):
-            return urllib.request.Request(
-                newurl, data=req.data, headers=req.headers, method=req.get_method()
-            )
-        return super().redirect_request(req, fp, code, msg, headers, newurl)
+        http_error_308 = urllib.request.HTTPRedirectHandler.http_error_302  # not in 3.10
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if urllib.parse.urlsplit(newurl).scheme not in _WEBHOOK_SCHEMES:
+                raise urllib.error.HTTPError(newurl, code, msg, headers, fp)
+            if code in (307, 308):
+                return urllib.request.Request(
+                    newurl, data=req.data, headers=req.headers, method=req.get_method()
+                )
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    return urllib.request.build_opener(_WebhookRedirects), _WebhookRedirects
 
 
-_WEBHOOK_OPENER = urllib.request.build_opener(_WebhookRedirects)
+def __getattr__(name: str):
+    if name == "_WebhookRedirects":  # built with the opener, on first use
+        return _webhook_opener()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def notify_escalation(
@@ -114,6 +127,11 @@ def notify_escalation(
     """
     if not webhook_url:
         return STATUS_SKIPPED
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     payload = {
         "txid": txid,
         "reasons": list(escalation.reasons),
@@ -131,7 +149,7 @@ def notify_escalation(
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with _WEBHOOK_OPENER.open(request, timeout=timeout) as response:
+        with _webhook_opener()[0].open(request, timeout=timeout) as response:
             status = response.status
     except urllib.error.HTTPError as exc:  # a non-2xx answer
         exc.close()

@@ -9,7 +9,6 @@ to a file.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -180,31 +179,29 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    registry: MetricsRegistry
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path.rstrip("/") not in ("", "/metrics".rstrip("/")):
-            self.send_response(404)
-            self.end_headers()
-            return
-        body = self.registry.render().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args) -> None:
-        pass
-
-
 class MetricsServer:
     """Serves /metrics on 127.0.0.1 only, from a daemon thread; port 0 picks a free one."""
 
     def __init__(self, registry: MetricsRegistry, port: int) -> None:
-        handler = type("_Handler", (_MetricsHandler,), {"registry": registry})
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), handler)
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer  # loaded only to serve
+
+        class _MetricsHandler(BaseHTTPRequestHandler):
+            def do_GET(self) -> None:  # noqa: N802 (http.server API)
+                if self.path.rstrip("/") not in ("", "/metrics".rstrip("/")):
+                    self.send_response(404)
+                    self.end_headers()
+                    return
+                body = registry.render().encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args) -> None:
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", port), _MetricsHandler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 

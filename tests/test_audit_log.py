@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import resource
 import signal
+import sys
 import tempfile
 import threading
 import time
@@ -169,7 +171,6 @@ def lookup(reader, path, line_number):
 def test_read_event_line_matches_scan(data, extra):
     content = b"".join(data)
     lines = content.count(b"\n") + (not content.endswith(b"\n") and content != b"")
-    log_mod._line_index.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.jsonl"
         path.write_bytes(content)
@@ -177,39 +178,44 @@ def test_read_event_line_matches_scan(data, extra):
             assert lookup(read_event_line, path, line_number) == lookup(read_line_by_scan, path, line_number)
 
 
+def count_table_builds():
+    """Patch the one line-table builder with a spy that counts its calls."""
+    return mock.patch.object(log_mod, "_line_starts", wraps=log_mod._line_starts)
+
+
 def test_index_is_rebuilt_when_the_file_changes(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_bytes(b"aa\nbb\ncc\n")
-    log_mod._line_index.cache_clear()
-    assert read_event_line(str(path), 2) == b"bb"
-    assert read_event_line(str(path), 3) == b"cc"
-    assert log_mod._line_index.cache_info().misses == 1
+    with count_table_builds() as builds:
+        assert read_event_line(str(path), 2) == b"bb"
+        assert read_event_line(str(path), 3) == b"cc"
+        assert builds.call_count == 1
 
-    with AuditLog(str(path)) as log:  # append
-        log.append(b"dd")
-    assert read_event_line(str(path), 4) == b"dd"
+        with AuditLog(str(path)) as log:  # append
+            log.append(b"dd")
+        assert read_event_line(str(path), 4) == b"dd"
 
-    # Kernels without fine-grained timestamps advance mtime/ctime once per
-    # clock tick, so let one pass before a rewrite that keeps the size.
-    time.sleep(0.05)
-    with open(path, "r+b") as handle:  # same size, newlines moved
-        handle.write(b"a\nabb\ncc")
-    assert read_event_line(str(path), 1) == b"a"
-    assert read_event_line(str(path), 2) == b"abb"
+        # Kernels without fine-grained timestamps advance mtime/ctime once per
+        # clock tick, so let one pass before a rewrite that keeps the size.
+        time.sleep(0.05)
+        with open(path, "r+b") as handle:  # same size, newlines moved
+            handle.write(b"a\nabb\ncc")
+        assert read_event_line(str(path), 1) == b"a"
+        assert read_event_line(str(path), 2) == b"abb"
 
-    with open(path, "r+b") as handle:  # truncation
-        handle.truncate(4)
-    assert read_event_line(str(path), 2) == b"ab"
-    with pytest.raises(AuditWriteError):
-        read_event_line(str(path), 3)
+        with open(path, "r+b") as handle:  # truncation
+            handle.truncate(4)
+        assert read_event_line(str(path), 2) == b"ab"
+        with pytest.raises(AuditWriteError):
+            read_event_line(str(path), 3)
 
-    replacement = tmp_path / "replacement.jsonl"
-    replacement.write_bytes(b"x\nyy\n")
-    inode = path.stat().st_ino
-    os.replace(replacement, path)
-    assert path.stat().st_ino != inode
-    assert read_event_line(str(path), 2) == b"yy"
-    assert log_mod._line_index.cache_info().misses == 5
+        replacement = tmp_path / "replacement.jsonl"
+        replacement.write_bytes(b"x\nyy\n")
+        inode = path.stat().st_ino
+        os.replace(replacement, path)
+        assert path.stat().st_ino != inode
+        assert read_event_line(str(path), 2) == b"yy"
+    assert builds.call_count == 5
 
 
 def test_lookups_build_the_index_once_and_read_one_line_each(tmp_path):
@@ -218,11 +224,120 @@ def test_lookups_build_the_index_once_and_read_one_line_each(tmp_path):
     with AuditLog(str(path)) as log:
         for event in events:
             log.append(event)
-    log_mod._line_index.cache_clear()
-    with mock.patch.object(os, "pread", wraps=os.pread) as spy:
+    with count_table_builds() as builds, mock.patch.object(os, "pread", wraps=os.pread) as spy:
         assert read_event_line(str(path), 1) == events[0]
         spy.reset_mock()
         for line_number in range(2000, 0, -1):
             assert read_event_line(str(path), line_number) == events[line_number - 1]
-    assert log_mod._line_index.cache_info().misses == 1
+    assert builds.call_count == 1
     assert [c.args[1] for c in spy.call_args_list] == [len(event) for event in reversed(events)]
+
+
+# --- cached read descriptors ----------------------------------------------------------------
+
+
+def descriptors_on(paths):
+    """How many of this process's descriptors point at one of ``paths``."""
+    targets = {os.path.realpath(p) for p in paths}
+    fds = Path("/proc/self/fd")
+    count = 0
+    for entry in fds.iterdir():
+        try:
+            target = os.readlink(entry)
+        except OSError:  # the descriptor listdir itself used, closed since
+            continue
+        count += target.removesuffix(" (deleted)") in targets
+    return count
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+
+
+@needs_proc
+def test_at_most_four_logs_keep_a_descriptor(tmp_path):
+    paths = [tmp_path / f"events-{n}.jsonl" for n in range(6)]
+    for n, path in enumerate(paths):
+        path.write_bytes(b"log %d\n" % n)
+    for _ in range(2):
+        for n, path in enumerate(paths):
+            assert read_event_line(str(path), 1) == b"log %d" % n
+            assert descriptors_on(paths) <= 4
+    assert descriptors_on(paths[-4:]) == 4
+
+
+@needs_proc
+def test_deleted_log_raises_and_keeps_no_descriptor(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(b"a\nb\n")
+    assert read_event_line(str(path), 2) == b"b"
+    assert descriptors_on([path]) == 1
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
+        read_event_line(str(path), 2)
+    assert descriptors_on([path]) == 0
+
+
+def test_log_replaced_with_same_shape_is_read_from_the_new_file(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(b"old-1\nold-2\n")
+    assert read_event_line(str(path), 2) == b"old-2"
+    replacement = tmp_path / "replacement.jsonl"
+    replacement.write_bytes(b"new-1\nnew-2\n")
+    os.replace(replacement, path)
+    assert read_event_line(str(path), 1) == b"new-1"
+    assert read_event_line(str(path), 2) == b"new-2"
+    if Path("/proc/self/fd").is_dir():
+        assert descriptors_on([path]) == 1  # the replaced file's descriptor is closed
+
+
+def test_concurrent_reads_see_the_appended_bytes(tmp_path):
+    paths = [tmp_path / "events-a.jsonl", tmp_path / "events-b.jsonl"]
+    written = {path: [] for path in paths}
+    logs = {path: AuditLog(str(path)) for path in paths}
+    done = threading.Event()
+    failures = []
+
+    def append(n):
+        path = paths[n % 2]
+        event = canonicalize({"n": n, "pad": "y" * (n % 31)})
+        assert logs[path].append(event) == len(written[path]) + 1
+        written[path].append(event)  # only now may readers ask for it
+
+    def writer():
+        try:
+            for n in range(2, 300):
+                append(n)
+                time.sleep(0.0005)  # let the readers hit the cached entry between appends
+        except BaseException as exc:
+            failures.append(exc)
+        finally:
+            done.set()
+
+    def reader(seed):
+        rng = random.Random(seed)
+        reads = 0
+        try:
+            while not done.is_set() or reads < 200:
+                path = rng.choice(paths)
+                line_number = rng.randint(1, len(written[path]))
+                assert read_event_line(str(path), line_number) == written[path][line_number - 1]
+                reads += 1
+        except BaseException as exc:
+            failures.append(exc)
+
+    append(0)
+    append(1)
+    threads = [threading.Thread(target=reader, args=(seed,), daemon=True) for seed in range(4)]
+    threads.append(threading.Thread(target=writer, daemon=True))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the cache's critical sections too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert sum(len(events) for events in written.values()) == 300
