@@ -41,8 +41,10 @@ DEFAULT_BLOCK_INTERVAL = 2.0
 DEFAULT_MAX_BLOCK_ENTRIES = 128
 
 _TXID_RE = re.compile(r"^[0-9a-f]{64}$")
-# A crash mid-append leaves the start of a record as a journal's last line.
+# Every block line starts with its hash: ``{"block_hash":"<64 hex>",``. A
+# crash mid-append leaves a prefix of that as the ledger's last line.
 _BLOCK_PREFIX = b'{"block_hash":"'
+_CONTENT_AT = len(_BLOCK_PREFIX) + 64 + 2
 _TORN_TXID_RE = re.compile(rb"[0-9a-f]{0,64}")
 
 
@@ -81,15 +83,6 @@ class LedgerBlock:
     previous_block_hash: str
     block_hash: str
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "block_number": self.block_number,
-            "timestamp": self.timestamp,
-            "entries": [entry.as_dict() for entry in self.entries],
-            "previous_block_hash": self.previous_block_hash,
-            "block_hash": self.block_hash,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -116,19 +109,9 @@ def entry_tx_hash(block_number: int, txid: str, sender: str, index: int) -> str:
     return hashlib.sha256(material).hexdigest()
 
 
-def block_content_hash(
-    block_number: int,
-    timestamp: str,
-    entries: Tuple[BlockEntry, ...],
-    previous_block_hash: str,
-) -> str:
-    content = {
-        "block_number": block_number,
-        "timestamp": timestamp,
-        "entries": [entry.as_dict() for entry in entries],
-        "previous_block_hash": previous_block_hash,
-    }
-    return hashlib.sha256(canonicalize(content)).hexdigest()
+def _content_hash(line: bytes) -> str:
+    """SHA-256 of a stored block line without its leading ``"block_hash"`` member."""
+    return hashlib.sha256(b"{" + line[_CONTENT_AT:]).hexdigest()
 
 
 def _is_torn_block(tail: bytes) -> bool:
@@ -175,8 +158,7 @@ class SimulatedLedger:
         # Insertion-ordered set: FIFO for sealing, O(1) membership.
         self._pending: Dict[str, None] = {}
         self._anchored: Dict[str, Tuple[int, str, str]] = {}
-        # verify_chain's progress: blocks checked so far, first bad block.
-        self._checked = 0
+        # The first stored block whose bytes or back-link do not check out.
         self._broken: Optional[int] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -186,6 +168,8 @@ class SimulatedLedger:
             self._thread.start()
 
     def _load(self) -> None:
+        """Read both journals, checking each block line once against its stored hash."""
+        last_hash = GENESIS_HASH
         try:
             for line in self._block_journal.lines():
                 stored = json.loads(line)
@@ -194,6 +178,13 @@ class SimulatedLedger:
                 if number != len(self._blocks):
                     raise ValueError(f"block {number} is stored at position {len(self._blocks)}")
                 previous, block_hash = str(stored["previous_block_hash"]), str(stored["block_hash"])
+                if self._broken is None and not (
+                    previous == last_hash
+                    and _content_hash(line) == block_hash
+                    and line[:_CONTENT_AT] == b'%s%s",' % (_BLOCK_PREFIX, block_hash.encode("ascii"))
+                ):
+                    self._broken = number
+                last_hash = block_hash
                 block = LedgerBlock(number, timestamp, entries, previous, block_hash)
                 self._blocks.append(block)
                 for entry in block.entries:
@@ -236,16 +227,12 @@ class SimulatedLedger:
     def lookup(self, txid: str) -> Optional[Tuple[int, str, str, Optional[int]]]:
         """(block_number, tx_hash, sender, broken) for an anchored txid, else None.
 
-        ``broken`` is what ``verify_chain`` reports: the first block that no
-        longer hashes, or None.
+        ``broken`` is what ``verify_chain`` reports: the first stored block
+        that did not check out on load, or None.
         """
         with self._lock:
             found = self._anchored.get(txid)
-            if found is None:
-                return None
-            if self._checked != len(self._blocks):
-                self._check_chain()
-            return found + (self._broken,)
+        return None if found is None else found + (self._broken,)
 
     def seal_pending(self) -> Optional[LedgerBlock]:
         """Seal queued txids into the next block; None when the queue is empty."""
@@ -260,9 +247,17 @@ class SimulatedLedger:
                 BlockEntry(txid, self.sender, entry_tx_hash(block_number, txid, self.sender, i))
                 for i, txid in enumerate(batch)
             )
-            block_hash = block_content_hash(block_number, timestamp, entries, previous)
+            content = canonicalize({
+                "block_number": block_number,
+                "timestamp": timestamp,
+                "entries": [entry.as_dict() for entry in entries],
+                "previous_block_hash": previous,
+            })
+            block_hash = hashlib.sha256(content).hexdigest()
+            # "block_hash" sorts first, so this is the canonical block with its hash.
+            line = b'%s%s",%s\n' % (_BLOCK_PREFIX, block_hash.encode("ascii"), content[1:])
+            self._block_journal.append(line)
             block = LedgerBlock(block_number, timestamp, entries, previous, block_hash)
-            self._block_journal.append(canonicalize(block.as_dict()) + b"\n")
             self._blocks.append(block)
             for entry in entries:
                 self._anchored[entry.txid] = (block_number, entry.tx_hash, entry.sender)
@@ -293,29 +288,14 @@ class SimulatedLedger:
             return tuple(self._pending)
 
     def verify_chain(self) -> Tuple[bool, Optional[int]]:
-        """Recompute the block hashes from genesis.
+        """(True, None) for a valid chain, else (False, block_number) of the first bad block.
 
-        Returns (True, None) for a valid chain, else (False, block_number) of
-        the first block whose stored hash or back-link no longer matches.
-        Blocks never change once loaded or sealed, so each is hashed once
-        per instance: a call checks only the blocks sealed since the last.
+        Each stored block line was checked once, on load: it must be
+        ``{"block_hash":"<hash>",`` followed by content whose SHA-256 is that
+        hash, and link to the stored hash of the block before it. Blocks this
+        instance seals are correct as written, so nothing hashes them again.
         """
-        with self._lock:
-            self._check_chain()
-            return self._broken is None, self._broken
-
-    def _check_chain(self) -> None:
-        """Hash the blocks not yet checked, stopping at the first bad one; caller holds the lock."""
-        if self._broken is not None:
-            return
-        previous = self._blocks[self._checked - 1].block_hash if self._checked else GENESIS_HASH
-        for block in self._blocks[self._checked:]:
-            recomputed = block_content_hash(block.block_number, block.timestamp, block.entries, previous)
-            if block.previous_block_hash != previous or recomputed != block.block_hash:
-                self._broken = block.block_number
-                return
-            previous = block.block_hash
-            self._checked += 1
+        return self._broken is None, self._broken
 
     def close(self) -> None:
         """Stop the sealing thread and drain the queue.

@@ -9,8 +9,9 @@ for the turn: an inference that cannot be audited must not return silently.
 Reads go through a table of line-start offsets, so fetching any line costs
 one ``stat`` and one ``pread`` however long the log is. The table is kept
 with the read-only descriptor it was built from, for the last
-``_READERS_MAX`` log paths read. A cached descriptor is read and closed only
-under ``_readers_lock``, so no thread reads one that another has closed.
+``_READERS_MAX`` log paths read; a rebuild also closes the descriptors of
+logs deleted since. A cached descriptor is read and closed only under
+``_readers_lock``, so no thread reads one that another has closed.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def read_event_line(log_path: str, line_number: int) -> bytes:
         raise
     with _readers_lock:
         _drop_reader(log_path)  # stale, or cached by another thread meanwhile
+        for path in [path for path, (_, cached, _) in _readers.items() if os.fstat(cached).st_nlink == 0]:
+            _drop_reader(path)  # a deleted log: release its disk space
         _readers[log_path] = reader
         while len(_readers) > _READERS_MAX:
             os.close(_readers.pop(next(iter(_readers)))[1])

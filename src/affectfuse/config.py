@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
+import yaml
+
 from .audio import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR, DEFAULT_SNR_BLOCK
 from .audit.ledger import DEFAULT_BLOCK_INTERVAL, DEFAULT_MAX_BLOCK_ENTRIES, DEFAULT_SENDER
 from .core import load_yaml
@@ -106,6 +108,13 @@ class PipelineConfig:
 _SECTIONS = ("audio", "text", "fusion", "guardrails", "audit", "anchoring", "metrics")
 
 
+def _number(raw: Any, key_path: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key_path}: expected a number, got {raw!r}") from exc
+
+
 def _coerce(raw: Any, default: Any, key_path: str) -> Any:
     if default is None or isinstance(default, str):
         return str(raw)
@@ -124,10 +133,7 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key_path}: expected an integer, got {raw!r}") from exc
     if isinstance(default, float):
-        try:
-            return float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key_path}: expected a number, got {raw!r}") from exc
+        return _number(raw, key_path)
     if isinstance(default, list):
         if isinstance(raw, (list, tuple)):
             return [str(v) for v in raw]
@@ -135,7 +141,7 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
     if isinstance(default, dict):
         if not isinstance(raw, Mapping):
             raise ConfigError(f"{key_path}: expected a mapping")
-        return {str(k): float(v) for k, v in raw.items()}
+        return {str(k): _number(v, f"{key_path}.{k}") for k, v in raw.items()}
     raise ConfigError(f"{key_path}: unsupported value type")
 
 
@@ -154,7 +160,10 @@ def _apply_file(config: PipelineConfig, path: str) -> None:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    data = load_yaml(text) or {}
+    try:
+        data = load_yaml(text) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
     base = Path(path).resolve().parent

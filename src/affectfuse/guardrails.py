@@ -106,12 +106,6 @@ def _webhook_opener():
     return urllib.request.build_opener(_WebhookRedirects), _WebhookRedirects
 
 
-def __getattr__(name: str):
-    if name == "_WebhookRedirects":  # built with the opener, on first use
-        return _webhook_opener()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def notify_escalation(
     escalation: Escalation,
     webhook_url: Optional[str],

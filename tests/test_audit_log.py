@@ -277,6 +277,18 @@ def test_deleted_log_raises_and_keeps_no_descriptor(tmp_path):
     assert descriptors_on([path]) == 0
 
 
+@needs_proc
+def test_reading_another_log_closes_a_deleted_logs_descriptor(tmp_path):
+    log_a, log_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    log_a.write_bytes(b"a\n")
+    log_b.write_bytes(b"b\n")
+    assert read_event_line(str(log_a), 1) == b"a"
+    log_a.unlink()
+    assert read_event_line(str(log_b), 1) == b"b"
+    assert descriptors_on([log_a]) == 0
+    assert descriptors_on([log_b]) == 1
+
+
 def test_log_replaced_with_same_shape_is_read_from_the_new_file(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_bytes(b"old-1\nold-2\n")

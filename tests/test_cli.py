@@ -107,6 +107,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "audio.alpha_ema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("audio: [alpha_ema: 0.5\n", "not valid YAML"),
+        ("guardrails:\n  thresholds:\n    fear: abc\n", "guardrails.thresholds.fear"),
+    ],
+    ids=["yaml", "threshold"],
+)
+def test_a_bad_config_file_is_a_config_error_not_a_traceback(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    code = main(["--config", str(bad), "anchor-status", "--txid", "ab" * 32])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_verify_not_anchored_exit_code(workspace, capsys, tmp_path):
     _, config, wav = workspace
     event = tmp_path / "event.json"

@@ -106,6 +106,20 @@ def test_threshold_validation_names_label():
     assert "guardrails.thresholds.fear" in str(err.value)
 
 
+def test_invalid_yaml_names_the_file(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text("audio: [alpha_ema: 0.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="app.yaml: not valid YAML"):
+        load_config(str(path), environ={})
+
+
+def test_non_numeric_threshold_names_its_key_path(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text("guardrails:\n  thresholds:\n    fear: abc\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="guardrails.thresholds.fear: expected a number, got 'abc'"):
+        load_config(str(path), environ={})
+
+
 def test_block_interval_validated():
     config = PipelineConfig()
     config.anchoring.block_interval = 0.0

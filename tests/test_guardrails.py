@@ -24,7 +24,7 @@ from affectfuse.guardrails import (
     notify_escalation,
     plan_response,
     Escalation,
-    _WebhookRedirects,
+    _webhook_opener,
 )
 
 TEMPLATES = load_templates()
@@ -164,7 +164,7 @@ def test_redirect_off_http_refused(location):
     # urllib follows redirects to ftp:, whose responses carry no HTTP status.
     request = urllib.request.Request("http://127.0.0.1/moved", data=b"{}", method="POST")
     with pytest.raises(urllib.error.HTTPError):
-        _WebhookRedirects().redirect_request(request, None, 307, "Temporary Redirect", {}, location)
+        _webhook_opener()[1]().redirect_request(request, None, 307, "Temporary Redirect", {}, location)
 
 
 @pytest.mark.parametrize(

@@ -205,28 +205,53 @@ def test_a_renumbered_block_is_refused_on_load(tmp_path):
         make_ledger(tmp_path, max_block_entries=4)
 
 
-def test_verify_chain_hashes_each_block_once(tmp_path, monkeypatch):
-    hashed = []
-    content_hash = ledger_mod.block_content_hash
-
-    def counting(number, *args):
-        hashed.append(number)
-        return content_hash(number, *args)
-
+@pytest.mark.parametrize(
+    "edit",
+    [
+        (b'"block_number":1,', b'"block_number": 1,'),
+        (b'"timestamp":"2026', b'"timestamp":"\\u0032026'),
+    ],
+    ids=["space", "escape"],
+)
+def test_a_block_edited_to_the_same_content_is_broken(tmp_path, edit):
+    """A stored block must be the canonical bytes, not just parse to the same content."""
+    events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
     with make_ledger(tmp_path, max_block_entries=4) as ledger:
-        for n in range(10):
-            ledger.submit(txid_of(n))
-        ledger.seal_pending()
-        monkeypatch.setattr(ledger_mod, "block_content_hash", counting)
-        for n in range(4):  # the first lookup hashes the sealed block, the rest reuse it
-            assert verify_anchorage(str(n).encode(), txid_of(n), ledger).kind == "verified"
+        for event in events:
+            ledger.submit(compute_txid(event))
+    lines = ledger_lines(tmp_path)
+    edited = lines[1].replace(*edit)
+    assert edited != lines[1] and json.loads(edited) == json.loads(lines[1])
+    (tmp_path / "ledger.json").write_bytes(lines[0] + edited + lines[2])
+    ledger = make_ledger(tmp_path, max_block_entries=4)
+    assert ledger.verify_chain() == (False, 1)
+    for n in range(10):
+        verdict = verify_anchorage(events[n], compute_txid(events[n]), ledger)
+        assert verdict.kind == ("verified" if n < 4 else "tamper_detected")
+
+
+def hash_calls():
+    return mock.patch.object(ledger_mod, "_content_hash", wraps=ledger_mod._content_hash)
+
+
+def test_verify_chain_hashes_each_block_once(tmp_path):
+    events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
+    with make_ledger(tmp_path, max_block_entries=4) as ledger:
+        for event in events[:8]:
+            ledger.submit(compute_txid(event))
+    with hash_calls() as hashed:
+        ledger = make_ledger(tmp_path, max_block_entries=4)
+        assert hashed.call_count == 2
+        hashed.reset_mock()
+        for n in range(8):
+            assert verify_anchorage(events[n], compute_txid(events[n]), ledger).kind == "verified"
         assert ledger.verify_chain() == (True, None)
-        assert hashed == [0]
-        while ledger.seal_pending() is not None:
-            pass
-        hashed.clear()  # sealing hashes the blocks it makes
+        for event in events[8:]:
+            ledger.submit(compute_txid(event))
+        ledger.seal_pending()  # a block this instance seals is correct as written
+        assert verify_anchorage(events[9], compute_txid(events[9]), ledger).kind == "verified"
         assert ledger.verify_chain() == (True, None)
-        assert hashed == [1, 2]
+        assert hashed.call_count == 0
 
 
 def test_verify_anchorage_unavailable():
@@ -272,6 +297,8 @@ def test_golden_block_hashes(tmp_path):
             (1, 3, "056ad32b1ba2514477c5ad08c703a59d76e40dc71d6113e01db54d627d55418e"),
             (2, 1, "c02040e6690679544159ae4c7a18061ee0bd635da4b8a1d411bae9ea5f8bb5a6"),
         ]
+    ledger_file = (tmp_path / "ledger.json").read_bytes()
+    assert hashlib.sha256(ledger_file).hexdigest() == "3d432ff76ac321fc4dd28cb9cb298972dc7bb8775ac4080b2496d346f978f36b"
 
 
 # --- append-only journals ---------------------------------------------------------------
@@ -454,33 +481,39 @@ def test_concurrent_submits_with_background_sealing(tmp_path):
     assert reopened.verify_chain() == (True, None)
 
 
-def test_concurrent_chain_checks_hash_each_block_once(tmp_path, monkeypatch):
-    hashed, chains = [], set()
-    content_hash = ledger_mod.block_content_hash
-
-    def counting(number, *args):
-        hashed.append(number)
-        time.sleep(0.001)  # lets the other checkers run mid-chain
-        return content_hash(number, *args)
+def test_concurrent_chain_checks_hash_each_block_once(tmp_path):
+    chains, found = set(), []
 
     def check():
         start.wait(timeout=10)
-        chains.add(ledger.verify_chain())
+        for n in range(20):
+            chains.add(ledger.verify_chain())
+            found.append(ledger.lookup(txid_of(n)))
+
+    def seal():
+        start.wait(timeout=10)
+        for n in range(20, 40):
+            ledger.submit(txid_of(n))
+            ledger.seal_pending()
 
     with make_ledger(tmp_path, max_block_entries=1) as ledger:
         for n in range(20):
             ledger.submit(txid_of(n))
-    ledger = make_ledger(tmp_path)
-    monkeypatch.setattr(ledger_mod, "block_content_hash", counting)
-    start = threading.Barrier(4)
-    threads = [threading.Thread(target=check) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+    with hash_calls() as hashed:
+        ledger = make_ledger(tmp_path, max_block_entries=1)
+        assert hashed.call_count == 20
+        hashed.reset_mock()
+        start = threading.Barrier(5)
+        threads = [threading.Thread(target=check) for _ in range(4)] + [threading.Thread(target=seal)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert hashed.call_count == 0
     assert chains == {(True, None)}
-    assert sorted(hashed) == list(range(20))
+    assert len(found) == 80 and all(hit is not None and hit[3] is None for hit in found)
+    assert make_ledger(tmp_path).verify_chain() == (True, None)
 
 
 class _Crash(Exception):
