@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+import math
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import unicodedata
 
@@ -148,7 +149,13 @@ def normalize_distribution(raw_scores: Mapping[str, float]) -> Dict[str, float]:
     total = sum(scores.values())
     if total == 0.0:
         return one_hot("neutral")
-    return {label: scores[label] / total for label in LABELS}
+    dist = {label: scores[label] / total for label in LABELS}
+    # Dividing can round a smaller score listed earlier up to the top score's
+    # quotient, which would win the tie; one ulp keeps the raw argmax on top.
+    top = max(LABELS, key=scores.__getitem__)
+    if any(dist[label] == dist[top] for label in LABELS[: LABELS.index(top)]):
+        dist[top] = math.nextafter(dist[top], 1.0)
+    return dist
 
 
 def one_hot(label: str) -> Dict[str, float]:
