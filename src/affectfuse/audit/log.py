@@ -8,10 +8,10 @@ for the turn: an inference that cannot be audited must not return silently.
 
 Reads go through a table of line-start offsets, so fetching any line costs
 one ``stat`` and one ``pread`` however long the log is. The table is kept
-with the read-only descriptor it was built from, for the last
-``_READERS_MAX`` log paths read; a rebuild also closes the descriptors of
-logs deleted since. A cached descriptor is read and closed only under
-``_readers_lock``, so no thread reads one that another has closed.
+with the read-only descriptor it was built from, for the last log read only:
+reading another log, or a changed one, closes that descriptor. The cached
+descriptor is read and closed only under ``_reader_lock``, so no thread
+reads one that another has closed.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ import os
 import threading
 from array import array
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple, Type
+from typing import Callable, Iterator, Optional, Tuple, Type
 
 log = logging.getLogger(__name__)
 
 _SCAN_CHUNK = 1 << 20
 _APPEND_FLAGS = os.O_APPEND | os.O_CREAT | os.O_RDWR
-_READERS_MAX = 4
 
-# Log path -> (stat key, read-only descriptor, line starts), least recently used first.
-_readers: Dict[str, Tuple[tuple, int, array]] = {}
-_readers_lock = threading.Lock()
+# (log path, stat key, read-only descriptor, line starts) of the last log read.
+_reader: Optional[Tuple[str, tuple, int, array]] = None
+_reader_lock = threading.Lock()
 
 
 class AuditWriteError(OSError):
@@ -187,15 +186,16 @@ def _stat_key(st: os.stat_result) -> tuple:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def _drop_reader(log_path: str) -> None:
-    """Close and forget the cached descriptor of ``log_path``; hold ``_readers_lock``."""
-    reader = _readers.pop(log_path, None)
-    if reader is not None:
-        os.close(reader[1])
+def _drop_reader() -> None:
+    """Close and forget the cached descriptor; hold ``_reader_lock``."""
+    global _reader
+    if _reader is not None:
+        os.close(_reader[2])
+        _reader = None
 
 
-def _pread_line(reader: Tuple[tuple, int, array], log_path: str, line_number: int) -> bytes:
-    key, fd, starts = reader
+def _pread_line(reader: Tuple[str, tuple, int, array], line_number: int) -> bytes:
+    log_path, key, fd, starts = reader
     size = key[2]
     if 1 <= line_number < len(starts):
         start, stop = starts[line_number - 1], starts[line_number] - 1
@@ -210,32 +210,29 @@ def read_event_line(log_path: str, line_number: int) -> bytes:
     """Return the exact bytes of one event line (without the newline).
 
     A last line without its newline is returned as it stands. While the
-    file's :func:`_stat_key` is unchanged a lookup costs one ``stat`` and one
-    ``pread``; otherwise the file is reopened and its line table rebuilt.
+    path and its :func:`_stat_key` match the last lookup's, a lookup costs
+    one ``stat`` and one ``pread``; otherwise the file is reopened and its
+    line table rebuilt.
     """
+    global _reader
     try:
         key = _stat_key(os.stat(log_path))
     except OSError:
-        with _readers_lock:
-            _drop_reader(log_path)
+        with _reader_lock:
+            if _reader is not None and _reader[0] == log_path:
+                _drop_reader()
         raise
-    with _readers_lock:
-        reader = _readers.get(log_path)
-        if reader is not None and reader[0] == key:
-            _readers[log_path] = _readers.pop(log_path)  # now the most recently used
-            return _pread_line(reader, log_path, line_number)
+    with _reader_lock:
+        if _reader is not None and _reader[0] == log_path and _reader[1] == key:
+            return _pread_line(_reader, line_number)
     fd = os.open(log_path, os.O_RDONLY)
     try:
         st = os.fstat(fd)  # the table must describe this descriptor's file
-        reader = (_stat_key(st), fd, _line_starts(fd, st.st_size))
+        reader = (log_path, _stat_key(st), fd, _line_starts(fd, st.st_size))
     except BaseException:
         os.close(fd)
         raise
-    with _readers_lock:
-        _drop_reader(log_path)  # stale, or cached by another thread meanwhile
-        for path in [path for path, (_, cached, _) in _readers.items() if os.fstat(cached).st_nlink == 0]:
-            _drop_reader(path)  # a deleted log: release its disk space
-        _readers[log_path] = reader
-        while len(_readers) > _READERS_MAX:
-            os.close(_readers.pop(next(iter(_readers)))[1])
-        return _pread_line(reader, log_path, line_number)
+    with _reader_lock:
+        _drop_reader()  # another log's, a stale one, or cached by another thread meanwhile
+        _reader = reader
+        return _pread_line(reader, line_number)

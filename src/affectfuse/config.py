@@ -58,7 +58,6 @@ class FusionConfig:
     snr_mid_db: float = DEFAULT_SNR_MID_DB
     snr_low_factor: float = DEFAULT_SNR_LOW_FACTOR
     snr_mid_factor: float = DEFAULT_SNR_MID_FACTOR
-    range_normalized_coherence: bool = False
 
 
 @dataclass

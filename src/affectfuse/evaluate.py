@@ -27,7 +27,7 @@ from .config import PipelineConfig
 from .core import LABELS, canonical_label, dominant_emotion
 from .fusion import fuse_distributions
 from .metrics import MetricsRegistry
-from .pipeline import Clock, ManifestStubAsr, Pipeline, TurnInput, run_channels
+from .pipeline import Clock, Pipeline, TurnInput, run_channels
 
 VARIANTS = ("text_only", "audio_only", "linear", "fuzzy")
 ABLATIONS = ("no_text", "no_audio", "no_gating", "fixed_weight")
@@ -190,7 +190,6 @@ def run_batch_eval(
     else:
         lexicon = text_mod.load_lexicon(config.text.lexicon_path)
         lemmas = text_mod.load_lemma_dictionary(config.text.lemmas_path)
-        asr = ManifestStubAsr()
 
     row_records: List[Dict[str, object]] = []
     skipped: List[str] = []
@@ -216,8 +215,8 @@ def run_batch_eval(
                 record["fuzzy"] = str(result.event["final"]["dominant"])
             else:
                 smoother = audio_mod.ArousalSmoother(alpha=config.audio.alpha_ema)
-                _, _, audio_result, text_result = run_channels(
-                    turn, config, smoother, lexicon, lemmas, asr, lambda _stage: nullcontext()
+                audio_result, text_result = run_channels(
+                    turn, config, smoother, lexicon, lemmas, lambda _stage: nullcontext()
                 )
 
             for name in (*variants, *ablations):

@@ -62,22 +62,14 @@ def adjust_asr_confidence(
     return asr_conf
 
 
-def coherence_index(
-    vad_audio: VadState,
-    vad_text: VadState,
-    range_normalized: bool = False,
-) -> float:
+def coherence_index(vad_audio: VadState, vad_text: VadState) -> float:
     """Cross-modal agreement from valence/arousal differences.
 
     C = 1 - ((|dv| / 2 + |da| / 2) / 2), which bounds C to [0.25, 1] because
-    the arousal difference (range 1) is divided by 2. With
-    ``range_normalized=True`` the arousal difference is divided by its actual
-    range instead, making the full [0, 1] interval reachable.
+    the arousal difference (range 1) is divided by 2.
     """
     dv = abs(vad_audio.valence - vad_text.valence) / 2.0
-    da = abs(vad_audio.arousal - vad_text.arousal)
-    if not range_normalized:
-        da /= 2.0
+    da = abs(vad_audio.arousal - vad_text.arousal) / 2.0
     return 1.0 - (dv + da) / 2.0
 
 
@@ -125,7 +117,6 @@ def fuse(
     audio_result: EmotionResult,
     adjusted_asr_conf: float,
     rule_base: RuleBase,
-    range_normalized_coherence: bool = False,
 ) -> FusionOutcome:
     """Weight and mix the two channels.
 
@@ -146,9 +137,7 @@ def fuse(
             log.warning("fuzzy engine failed; using linear fallback", exc_info=True)
         w_text, mode = adjusted_asr_conf, MODE_LINEAR_FALLBACK
 
-    coherence = coherence_index(
-        audio_result.vad, text_result.vad, range_normalized=range_normalized_coherence
-    )
+    coherence = coherence_index(audio_result.vad, text_result.vad)
     probs = fuse_distributions(text_result.probs, audio_result.probs, w_text)
     vad = fuse_vad(audio_result.vad, text_result.vad)
     return FusionOutcome(

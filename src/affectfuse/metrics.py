@@ -9,6 +9,7 @@ to a file.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Tuple
 
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -90,53 +91,48 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Cumulative DEFAULT_BUCKETS counts, sum and count per label set."""
+    """Cumulative DEFAULT_BUCKETS counts, sum and count per label set.
+
+    Each label set keeps one row: the count of observations per bucket, then
+    the count above the last bound (and of NaN, which no bound admits), then
+    the sum.
+    """
 
     kind = "histogram"
     buckets = DEFAULT_BUCKETS
 
-    def __init__(self, name, help_text, base_labels) -> None:
-        super().__init__(name, help_text, base_labels)
-        self._counts: Dict[Tuple[Tuple[str, str], ...], List[int]] = {}
-        self._sums: Dict[Tuple[Tuple[str, str], ...], float] = {}
-        self._totals: Dict[Tuple[Tuple[str, str], ...], int] = {}
-
     def observe(self, value: float, **labels: str) -> None:
         key = self._merge(labels)
+        index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
-            counts = self._counts.setdefault(key, [0] * len(self.buckets))
-            for i, upper in enumerate(self.buckets):
-                if value <= upper:
-                    counts[i] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + value
-            self._totals[key] = self._totals.get(key, 0) + 1
+            row = self._values.get(key)
+            if row is None:
+                row = self._values[key] = [0] * (len(self.buckets) + 1) + [0.0]
+            row[index] += 1
+            row[-1] += value
 
     def count(self, **labels: str) -> int:
         with self._lock:
-            return self._totals.get(self._merge(labels), 0)
+            row = self._values.get(self._merge(labels))
+            return sum(row[:-1]) if row else 0
 
     def bucket_count(self, upper: float, **labels: str) -> int:
         index = self.buckets.index(upper)
         with self._lock:
-            counts = self._counts.get(self._merge(labels))
-            return counts[index] if counts else 0
+            row = self._values.get(self._merge(labels))
+            return sum(row[: index + 1]) if row else 0
 
     def render(self) -> List[str]:
         lines: List[str] = []
         with self._lock:
-            keys = sorted(self._counts)
-            for key in keys:
+            for key, row in sorted(self._values.items()):
                 base = dict(key)
-                counts = self._counts[key]
-                for upper, count in zip(self.buckets, counts):
-                    labels = dict(base)
-                    labels["le"] = repr(upper)
-                    lines.append(f"{self.name}_bucket{_format_labels(labels)} {count}")
-                labels = dict(base)
-                labels["le"] = "+Inf"
-                lines.append(f"{self.name}_bucket{_format_labels(labels)} {self._totals[key]}")
-                lines.append(f"{self.name}_sum{_format_labels(base)} {repr(self._sums[key])}")
-                lines.append(f"{self.name}_count{_format_labels(base)} {self._totals[key]}")
+                cumulative = 0
+                for upper, count in zip((*map(repr, self.buckets), "+Inf"), row):
+                    cumulative += count
+                    lines.append(f"{self.name}_bucket{_format_labels({**base, 'le': upper})} {cumulative}")
+                lines.append(f"{self.name}_sum{_format_labels(base)} {repr(row[-1])}")
+                lines.append(f"{self.name}_count{_format_labels(base)} {cumulative}")
         return lines
 
 

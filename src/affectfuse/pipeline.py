@@ -1,8 +1,8 @@
 """Per-turn orchestration.
 
-Stage order: ASR adapter (stub) -> audio emotion -> text emotion -> ASR
-confidence adjustment (measured SNR) -> fusion -> guardrails -> response ->
-PII redaction -> canonicalization -> txid -> audit append -> escalation ->
+Stage order: WAV decode -> audio emotion -> text emotion -> ASR confidence
+adjustment (measured SNR) -> fusion -> guardrails -> response -> PII
+redaction -> canonicalization -> txid -> audit append -> escalation ->
 asynchronous anchoring. The turn returns after the audit append; anchoring
 may still be pending. A fuzzy-engine failure is not an error (the fusion
 falls back to linear weighting); a failed audit append is fatal for the turn.
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Tuple
 
 from . import audio as audio_mod
 from . import text as text_mod
@@ -58,9 +58,8 @@ def system_clock() -> str:
 class TurnInput:
     """One conversational turn: a full audio file plus its transcript.
 
-    The built-in ASR adapter is a stub that passes ``transcript`` and
-    ``asr_confidence`` through; a live recognizer can be plugged in via the
-    AsrAdapter protocol.
+    ``transcript`` and ``asr_confidence`` come from the recognizer that
+    produced them; the turn uses both as given.
     """
 
     audio_path: str
@@ -87,38 +86,22 @@ class TurnResult:
     text: EmotionResult
 
 
-class AsrAdapter(Protocol):
-    def transcribe(self, buffer: audio_mod.AudioBuffer, turn: TurnInput) -> Tuple[str, float]:
-        ...
-
-
-class ManifestStubAsr:
-    """Default adapter: transcript and confidence come with the turn."""
-
-    def transcribe(self, buffer: audio_mod.AudioBuffer, turn: TurnInput) -> Tuple[str, float]:
-        return turn.transcript, turn.asr_confidence
-
-
 def run_channels(
     turn: TurnInput,
     config: PipelineConfig,
     smoother: audio_mod.ArousalSmoother,
     lexicon: Mapping[str, text_mod.LexiconEntry],
     lemmas: Mapping[str, str],
-    asr: AsrAdapter,
     timed: Callable[[str], ContextManager[None]],
-) -> Tuple[str, float, EmotionResult, EmotionResult]:
-    """Decode the turn's WAV, transcribe it and score both channels.
+) -> Tuple[EmotionResult, EmotionResult]:
+    """Decode the turn's WAV and score the audio and the transcript.
 
-    Returns the transcript, the ASR confidence and the audio and text
-    results. This is the one channel code path: ``Pipeline`` runs it inside
-    every turn, and batch evaluation runs it directly when no fuzzy turn is
-    requested.
+    Returns the audio and text results. This is the one channel code path:
+    ``Pipeline`` runs it inside every turn, and batch evaluation runs it
+    directly when no fuzzy turn is requested.
     """
     with timed("decode"):
         buffer = audio_mod.load_wav(turn.audio_path)
-    with timed("asr"):
-        transcript, asr_conf = asr.transcribe(buffer, turn)
     with timed("audio_emotion"):
         audio_result = audio_mod.audio_emotion(
             buffer,
@@ -130,13 +113,13 @@ def run_channels(
         )
     with timed("text_emotion"):
         text_result = text_mod.text_emotion(
-            transcript,
+            turn.transcript,
             lexicon=lexicon,
             lemma_dictionary=lemmas,
             negation_markers=config.text.negation_markers,
             intensifiers=config.text.intensifiers,
         )
-    return transcript, asr_conf, audio_result, text_result
+    return audio_result, text_result
 
 
 @dataclass
@@ -174,12 +157,10 @@ class Pipeline:
         config: PipelineConfig,
         clock: Optional[Clock] = None,
         metrics: Optional[MetricsRegistry] = None,
-        asr_adapter: Optional[AsrAdapter] = None,
     ) -> None:
         self.config = config
         self.clock: Clock = clock or system_clock
         self.metrics = metrics or MetricsRegistry(config.model_size, config.run_id)
-        self.asr = asr_adapter or ManifestStubAsr()
         self.rule_base: RuleBase = load_rule_base(config.fusion.rule_base_path)
         self.lexicon = text_mod.load_lexicon(config.text.lexicon_path)
         self.lemmas = text_mod.load_lemma_dictionary(config.text.lemmas_path)
@@ -231,8 +212,9 @@ class Pipeline:
         session.turns += 1
         event_id = f"{cfg.run_id}/{turn.session_id}/{session.turns:06d}"
 
-        transcript, asr_conf, audio_result, text_result = run_channels(
-            turn, cfg, session.smoother, self.lexicon, self.lemmas, self.asr, self._timed
+        transcript, asr_conf = turn.transcript, turn.asr_confidence
+        audio_result, text_result = run_channels(
+            turn, cfg, session.smoother, self.lexicon, self.lemmas, self._timed
         )
 
         snr_db = float(audio_result.metadata["snr_db"])
@@ -245,13 +227,7 @@ class Pipeline:
                 low_factor=cfg.fusion.snr_low_factor,
                 mid_factor=cfg.fusion.snr_mid_factor,
             )
-            outcome = fuse(
-                text_result,
-                audio_result,
-                adjusted,
-                self.rule_base,
-                range_normalized_coherence=cfg.fusion.range_normalized_coherence,
-            )
+            outcome = fuse(text_result, audio_result, adjusted, self.rule_base)
 
         with self._timed("guardrails"):
             escalation = evaluate_guardrails(

@@ -254,15 +254,14 @@ needs_proc = pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="need
 
 
 @needs_proc
-def test_at_most_four_logs_keep_a_descriptor(tmp_path):
-    paths = [tmp_path / f"events-{n}.jsonl" for n in range(6)]
-    for n, path in enumerate(paths):
-        path.write_bytes(b"log %d\n" % n)
-    for _ in range(2):
-        for n, path in enumerate(paths):
-            assert read_event_line(str(path), 1) == b"log %d" % n
-            assert descriptors_on(paths) <= 4
-    assert descriptors_on(paths[-4:]) == 4
+def test_only_the_last_log_read_keeps_a_descriptor(tmp_path):
+    log_a, log_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    log_a.write_bytes(b"a-1\na-2\n")
+    log_b.write_bytes(b"b-1\nb-2\n")
+    for path, line_number, expected in ((log_a, 2, b"a-2"), (log_b, 1, b"b-1"), (log_a, 1, b"a-1")):
+        assert read_event_line(str(path), line_number) == expected
+        assert descriptors_on([log_a, log_b]) == 1
+        assert descriptors_on([path]) == 1
 
 
 @needs_proc

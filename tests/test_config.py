@@ -57,6 +57,13 @@ def test_unknown_key_rejected(tmp_path):
     assert "audio.alpha" in str(err.value)
 
 
+def test_range_normalized_coherence_is_not_a_key(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text(yaml.safe_dump({"fusion": {"range_normalized_coherence": True}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="fusion.range_normalized_coherence"):
+        load_config(str(path), environ={})
+
+
 def test_unknown_env_key_rejected():
     with pytest.raises(ConfigError):
         load_config(environ={"APP__AUDIO__NOSUCH": "1"})

@@ -68,11 +68,6 @@ def test_coherence_hand_computed():
     assert c == pytest.approx(0.625)
 
 
-def test_coherence_range_normalized_variant_reaches_zero():
-    c = coherence_index(VadState(1.0, 1.0), VadState(-1.0, 0.0), range_normalized=True)
-    assert c == pytest.approx(0.0)
-
-
 @given(
     st.floats(-1, 1), st.floats(0, 1), st.floats(-1, 1), st.floats(0, 1),
 )

@@ -49,6 +49,32 @@ def test_histogram_buckets_cumulative():
     assert bucket_line.endswith(" 2")
 
 
+def test_histogram_text_for_an_edge_an_overflow_and_nan():
+    registry = MetricsRegistry("stub", "edge")
+    hist = registry.histogram("pipeline_stage_latency_seconds", "Per-stage latency in seconds")
+    for value in (0.05, 3.0, float("nan")):
+        hist.observe(value, stage="fusion")
+    series = 'pipeline_stage_latency_seconds_{}{{model_size="stub",run_id="edge",stage="fusion"{}}} {}'
+    assert registry.render() == "\n".join([
+        "# HELP pipeline_stage_latency_seconds Per-stage latency in seconds",
+        "# TYPE pipeline_stage_latency_seconds histogram",
+        series.format("bucket", ',le="0.001"', 0),
+        series.format("bucket", ',le="0.0025"', 0),
+        series.format("bucket", ',le="0.005"', 0),
+        series.format("bucket", ',le="0.01"', 0),
+        series.format("bucket", ',le="0.025"', 0),
+        series.format("bucket", ',le="0.05"', 1),
+        series.format("bucket", ',le="0.1"', 1),
+        series.format("bucket", ',le="0.25"', 1),
+        series.format("bucket", ',le="0.5"', 1),
+        series.format("bucket", ',le="1.0"', 1),
+        series.format("bucket", ',le="2.5"', 1),
+        series.format("bucket", ',le="+Inf"', 3),
+        series.format("sum", "", "nan"),
+        series.format("count", "", 3),
+    ]) + "\n"
+
+
 def test_exposition_served_over_http():
     registry = MetricsRegistry("stub", "serve")
     registry.gauge("audio_snr_db", "snr").set(12.0)

@@ -209,10 +209,10 @@ def test_metrics_populated_after_turn(tmp_path, wav_path, pinned_clock):
     text = registry.render()
     assert 'audio_snr_db{model_size="stub",run_id="local"}' in text
     assert "cross_modal_coherence" in text
-    stages = ("decode", "asr", "audio_emotion", "text_emotion", "fusion", "guardrails", "audit",
-              "anchor_submit")
+    stages = ("decode", "audio_emotion", "text_emotion", "fusion", "guardrails", "audit", "anchor_submit")
     for stage in stages:
         assert f'stage="{stage}"' in text
+    assert 'stage="asr"' not in text
 
 
 def test_nan_audio_rejected_before_audit(tmp_path, pinned_clock):
