@@ -162,7 +162,7 @@ def count_zero_crossings(samples: np.ndarray) -> int:
     this counts sign changes among the non-zero samples only; zero runs
     produce no spurious crossings and an all-zero buffer counts 0.
     """
-    negative = np.signbit(samples[samples != 0.0])
+    negative = np.signbit(samples)[samples != 0.0]  # compress one byte per sample, not eight
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
@@ -181,14 +181,14 @@ def compute_snr_db(buffer: AudioBuffer, block_size: int = DEFAULT_SNR_BLOCK) -> 
     samples = buffer.samples
     n = samples.size
     if n < block_size:
-        blocks = samples.reshape(1, n)
+        energies = _block_energies(samples.reshape(1, n))
     else:
         full, remainder = divmod(n, block_size)
+        energies = _block_energies(samples[: full * block_size].reshape(full, block_size))
         if remainder >= block_size / 2:
-            full += 1
-            samples = np.concatenate([samples, np.zeros(full * block_size - n)])
-        blocks = samples[: full * block_size].reshape(full, block_size)
-    energies = np.mean(blocks * blocks, axis=1)
+            tail = np.zeros((1, block_size))
+            tail[0, :remainder] = samples[full * block_size :]
+            energies = np.append(energies, _block_energies(tail))
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
         return 0.0
@@ -196,6 +196,11 @@ def compute_snr_db(buffer: AudioBuffer, block_size: int = DEFAULT_SNR_BLOCK) -> 
     noise_floor = float(np.sort(energies)[rank])
     ratio = mean_energy / max(noise_floor, 1e-12)
     return clamp(10.0 * math.log10(ratio), 0.0, 80.0)
+
+
+def _block_energies(blocks: np.ndarray) -> np.ndarray:
+    """Mean square of each row; the squares live only inside this call."""
+    return np.mean(np.square(blocks), axis=1)
 
 
 def _mel(freq_hz: np.ndarray) -> np.ndarray:
@@ -387,7 +392,7 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _wav_sample_dtype(format_tag: int, container: int, bits: int) -> str:
+def _wav_sample_dtype(format_tag: int, container: int, bits: int, path: str) -> str:
     """numpy dtype of one stored sample; "s24" for packed 24-bit PCM."""
     if format_tag == _WAVE_FORMAT_PCM:
         if container == 1 and 1 <= bits <= 8:
@@ -396,7 +401,9 @@ def _wav_sample_dtype(format_tag: int, container: int, bits: int) -> str:
             return {2: "<i2", 3: "s24", 4: "<i4"}[container]
     elif format_tag == _WAVE_FORMAT_IEEE_FLOAT and bits in (32, 64) and container == bits // 8:
         return f"<f{container}"
-    raise ValueError(f"unsupported WAV sample format: tag {format_tag:#x}, {bits} bits in {container} bytes")
+    raise ValueError(
+        f"{path}: unsupported WAV sample format: tag {format_tag:#x}, {bits} bits in {container} bytes"
+    )
 
 
 def read_wav(path: str) -> Tuple[int, np.ndarray]:
@@ -408,8 +415,8 @@ def read_wav(path: str) -> Tuple[int, np.ndarray]:
     for mono and (frames, channels) otherwise. Plain and
     WAVE_FORMAT_EXTENSIBLE headers are read; chunks other than ``fmt `` and
     ``data`` are skipped with their pad byte. A ``data`` chunk cut short is
-    read up to its last whole frame. Anything else, big-endian RIFX and RF64
-    included, raises ValueError.
+    read up to its last whole frame. Anything else, big-endian RIFX, RF64 and
+    a sample rate of 0 included, raises ValueError naming the file.
     """
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size < 12 or raw[:4].tobytes() != b"RIFF" or raw[8:12].tobytes() != b"WAVE":
@@ -455,19 +462,26 @@ def _read_fmt_chunk(body: bytes, path: str) -> Tuple[int, int, int, str]:
             (format_tag,) = struct.unpack_from("<I", body, 24)
     if channels < 1 or block_align % channels:
         raise ValueError(f"{path}: {block_align}-byte frames do not hold {channels} channels")
+    if rate == 0:
+        raise ValueError(f"{path}: sample rate is 0")
     if format_tag == _WAVE_FORMAT_PCM and byte_rate != rate * block_align:
         raise ValueError(f"{path}: byte rate {byte_rate} is not sample rate {rate} x block align {block_align}")
-    return rate, channels, block_align, _wav_sample_dtype(format_tag, block_align // channels, bits)
+    return rate, channels, block_align, _wav_sample_dtype(format_tag, block_align // channels, bits, path)
+
+
+#: Scale from each PCM sample type to [-1, 1): a power of two, so the product
+#: is exact and equals the quotient by 2**(bits - 1).
+_PCM_SCALE = {np.dtype(np.uint8): 2.0**-7, np.dtype(np.int16): 2.0**-15, np.dtype(np.int32): 2.0**-31}
 
 
 def _pcm_to_float(data: np.ndarray) -> np.ndarray:
+    scale = _PCM_SCALE.get(data.dtype)
+    if scale is None:
+        return data.astype(np.float64)  # float32 or float64
+    samples = np.multiply(data, scale, dtype=np.float64)
     if data.dtype == np.uint8:
-        return (data.astype(np.float64) - 128.0) / 128.0
-    if data.dtype == np.int16:
-        return data.astype(np.float64) / 32768.0
-    if data.dtype == np.int32:
-        return data.astype(np.float64) / 2147483648.0
-    return data.astype(np.float64)  # float32 or float64
+        samples -= 1.0  # x / 128 - 1 == (x - 128) / 128 exactly: 8-bit PCM centres on 128
+    return samples
 
 
 def resample_linear(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:

@@ -9,6 +9,7 @@ a flat metadata map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 import math
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
@@ -76,8 +77,13 @@ def data_lines(text: str) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
+@lru_cache(maxsize=256)
 def canonical_label(name: str) -> str:
-    """Resolve a label or its Spanish alias to the canonical English name."""
+    """Resolve a label or its Spanish alias to the canonical English name.
+
+    Memoized: label names come from a small fixed vocabulary and recur on
+    every turn.
+    """
     key = _strip_accents(name.strip().lower())
     if key in LABELS:
         return key

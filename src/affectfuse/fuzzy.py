@@ -9,7 +9,7 @@ and the crisp weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,15 +127,30 @@ class RuleBase:
     """Versioned linguistic rules plus membership parameterizations.
 
     Immutable after load; inference over a rule base is pure and thread-safe.
-    The id is recorded in every audit event.
+    The id is recorded in every audit event. Construction also compiles what
+    inference needs from the rules alone: each distinct (variable, set)
+    antecedent, each rule's trace strings and consequent label, and the output
+    grid with every output set's membership on it, as read-only arrays.
     """
 
     rule_base_id: str
     variables: Mapping[str, LinguisticVariable]
     output: LinguisticVariable
     rules: Tuple[FuzzyRule, ...]
+    #: Distinct (variable, membership function) antecedents, in first-use order.
+    _antecedents: Tuple[Tuple[str, MembershipFunction], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Per rule: (indices into _antecedents, conditions, consequent, consequent label).
+    _compiled: Tuple[Tuple[Tuple[int, ...], Tuple[str, ...], str, str], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _out_grids: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        index: Dict[Tuple[str, str], int] = {}
+        compiled = []
         for rule in self.rules:
             for var_name, set_label in rule.antecedents:
                 variable = self.variables.get(var_name)
@@ -145,10 +160,54 @@ class RuleBase:
                     raise InvalidRuleBase(
                         f"rule references unknown set {var_name}.{set_label!r}"
                     )
+                index.setdefault((var_name, set_label), len(index))
             if rule.consequent not in self.output.sets:
                 raise InvalidRuleBase(
                     f"rule references unknown output set {rule.consequent!r}"
                 )
+            compiled.append((
+                tuple(index[pair] for pair in rule.antecedents),
+                tuple(f"{var} is {label}" for var, label in rule.antecedents),
+                f"{self.output.name} is {rule.consequent}",
+                rule.consequent,
+            ))
+        xs = _output_grid(self.output)
+        out_grids = {label: mf.evaluate_grid(xs) for label, mf in self.output.sets.items()}
+        for grid in out_grids.values():
+            grid.setflags(write=False)
+        set_attr = object.__setattr__
+        set_attr(self, "_antecedents", tuple(
+            (var, self.variables[var].sets[label]) for var, label in index
+        ))
+        set_attr(self, "_compiled", tuple(compiled))
+        set_attr(self, "_xs", xs)
+        set_attr(self, "_out_grids", out_grids)
+
+
+def _output_grid(output: LinguisticVariable) -> np.ndarray:
+    """The read-only uniform grid of GRID_POINTS points over the output domain."""
+    xs = np.linspace(output.domain[0], output.domain[1], GRID_POINTS)
+    xs.setflags(write=False)
+    return xs
+
+
+def _fire(
+    rule_base: RuleBase, inputs: Mapping[str, float]
+) -> Tuple[List[FiredRule], Dict[str, float]]:
+    """Fired rules in declaration order and the max activation per output set.
+
+    Each antecedent's membership is evaluated once; a rule's strength is the
+    min over its antecedents. ``inputs`` must already be clamped.
+    """
+    degrees = [mf(inputs[var]) for var, mf in rule_base._antecedents]
+    out_sets = {label: 0.0 for label in rule_base.output.sets}
+    fired = []
+    for indices, conditions, consequent, label in rule_base._compiled:
+        strength = min([degrees[i] for i in indices])
+        fired.append(FiredRule(conditions=conditions, consequent=consequent, strength=strength))
+        if strength > out_sets[label]:
+            out_sets[label] = strength
+    return fired, out_sets
 
 
 def evaluate_rules(rule_base: RuleBase, inputs: Mapping[str, float]) -> List[FiredRule]:
@@ -160,22 +219,16 @@ def evaluate_rules(rule_base: RuleBase, inputs: Mapping[str, float]) -> List[Fir
     clamped = {
         name: variable.clamp_input(inputs[name]) for name, variable in rule_base.variables.items()
     }
-    fired = []
-    for rule in rule_base.rules:
-        strength = min(
-            rule_base.variables[var].sets[label](clamped[var])
-            for var, label in rule.antecedents
-        )
-        conditions = tuple(f"{var} is {label}" for var, label in rule.antecedents)
-        consequent = f"{rule_base.output.name} is {rule.consequent}"
-        fired.append(FiredRule(conditions=conditions, consequent=consequent, strength=strength))
-    return fired
+    return _fire(rule_base, clamped)[0]
 
 
 def aggregate_outputs(
     fired: Sequence[FiredRule], output_labels: Sequence[str]
 ) -> Dict[str, float]:
-    """Max activation per output set; 0 when no rule targets a set."""
+    """Max activation per output set; 0 when no rule targets a set.
+
+    Recomputes a trace's ``out_sets`` from its fired rules alone.
+    """
     out = {label: 0.0 for label in output_labels}
     for rule in fired:
         label = rule.consequent.rsplit(" is ", 1)[-1]
@@ -184,23 +237,30 @@ def aggregate_outputs(
     return out
 
 
+def _centroid(
+    out_sets: Mapping[str, float], xs: np.ndarray, grids: Mapping[str, np.ndarray]
+) -> float:
+    aggregated = np.zeros_like(xs)
+    for label, activation in out_sets.items():
+        if activation <= 0.0:
+            continue
+        clipped = np.minimum(grids[label], activation)
+        np.maximum(aggregated, clipped, out=aggregated)
+    total = float(aggregated.sum())
+    if total == 0.0:
+        raise ZeroActivation("no output set is active")
+    return float((xs * aggregated).sum() / total)
+
+
 def defuzzify_centroid(out_sets: Mapping[str, float], output: LinguisticVariable) -> float:
     """Centroid of max_s min(mu_s(x), activation_s) on a uniform grid.
 
     Raises ZeroActivation when the aggregated function is identically zero;
     the caller then takes the linear-fallback path.
     """
-    xs = np.linspace(output.domain[0], output.domain[1], GRID_POINTS)
-    aggregated = np.zeros_like(xs)
-    for label, activation in out_sets.items():
-        if activation <= 0.0:
-            continue
-        clipped = np.minimum(output.sets[label].evaluate_grid(xs), activation)
-        np.maximum(aggregated, clipped, out=aggregated)
-    total = float(aggregated.sum())
-    if total == 0.0:
-        raise ZeroActivation("no output set is active")
-    return float((xs * aggregated).sum() / total)
+    xs = _output_grid(output)
+    grids = {label: mf.evaluate_grid(xs) for label, mf in output.sets.items()}
+    return _centroid(out_sets, xs, grids)
 
 
 def infer_w_text(
@@ -213,14 +273,14 @@ def infer_w_text(
 
     Inputs outside their domains are clamped. ZeroActivation propagates.
     """
+    variables = rule_base.variables
     inputs = {
-        "asr_conf": rule_base.variables["asr_conf"].clamp_input(asr_conf),
-        "arousal": rule_base.variables["arousal"].clamp_input(arousal),
-        "valence": rule_base.variables["valence"].clamp_input(valence),
+        "asr_conf": variables["asr_conf"].clamp_input(asr_conf),
+        "arousal": variables["arousal"].clamp_input(arousal),
+        "valence": variables["valence"].clamp_input(valence),
     }
-    fired = evaluate_rules(rule_base, inputs)
-    out_sets = aggregate_outputs(fired, list(rule_base.output.sets))
-    w_text = defuzzify_centroid(out_sets, rule_base.output)
+    fired, out_sets = _fire(rule_base, inputs)
+    w_text = _centroid(out_sets, rule_base._xs, rule_base._out_grids)
     return FuzzyTrace(
         inputs=inputs,
         fired_rules=tuple(fired),
@@ -261,6 +321,12 @@ def parse_rule_base(mapping: Mapping[str, object], origin: str = "<rule base>") 
     for required in _INPUT_VARIABLES:
         if required not in variables:
             raise InvalidRuleBase(f"{origin}: missing input variable {required!r}")
+    for name in variables:
+        if name not in _INPUT_VARIABLES:
+            # infer_w_text feeds only the three inputs; no turn could give this one a value.
+            raise InvalidRuleBase(
+                f"{origin}: unknown input variable {name!r}; the inputs are {', '.join(_INPUT_VARIABLES)}"
+            )
 
     output = build_variable(str(output_raw.get("name", "w_text")), output_raw)
 

@@ -68,9 +68,19 @@ def evaluate_guardrails(
             reasons.append(f"{label}>{limit:g}")
     haystack = _strip_accents(transcript.lower())
     for keyword in keywords:
-        if keyword and _strip_accents(keyword.lower()) in haystack:
+        if keyword and _keyword_form(keyword) in haystack:
             reasons.append(f"keyword:{keyword}")
     return Escalation(triggered=bool(reasons), reasons=reasons, timestamp=timestamp)
+
+
+@functools.lru_cache(maxsize=1024)
+def _keyword_form(keyword: str) -> str:
+    """A keyword as it is matched: lower case, accents stripped.
+
+    Keyword lists are loaded once and reused on every turn, so each keyword
+    is normalized once.
+    """
+    return _strip_accents(keyword.lower())
 
 
 _WEBHOOK_SCHEMES = ("http", "https")

@@ -101,8 +101,19 @@ class Histogram(_Metric):
     kind = "histogram"
     buckets = DEFAULT_BUCKETS
 
+    def series(self, **labels: str) -> Tuple[Tuple[str, str], ...]:
+        """The key of one label set, merged with the base labels.
+
+        A caller that observes the same label set on every call resolves its
+        key once and passes it to ``observe_series``.
+        """
+        return self._merge(labels)
+
     def observe(self, value: float, **labels: str) -> None:
-        key = self._merge(labels)
+        self.observe_series(self._merge(labels), value)
+
+    def observe_series(self, key: Tuple[Tuple[str, str], ...], value: float) -> None:
+        """``observe`` for a key from ``series``."""
         index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             row = self._values.get(key)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from affectfuse.audio import (
     NaNAudio,
     _hamming_window,
     _mel_filterbank,
+    _pcm_to_float,
     audio_emotion,
     compute_snr_db,
     count_zero_crossings,
@@ -25,6 +27,7 @@ from affectfuse.audio import (
     extract_acoustic_features,
     load_wav,
     mfcc_dct,
+    mfcc_timbre_score,
     read_wav,
     resample_linear,
     va_prototype_distribution,
@@ -485,6 +488,107 @@ def test_snr_matches_per_block_oracle(values, block_size):
     assert compute_snr_db(buf, block_size) == _snr_oracle(buf.samples, block_size)
 
 
+# Pre-change per-turn expressions, kept as straight-line oracles for the
+# features' fewer-pass forms.
+def _zcr_formula(samples):
+    negative = np.signbit(samples[samples != 0.0])
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
+
+
+def _snr_formula(samples, block_size):
+    n = samples.size
+    if n < block_size:
+        blocks = samples.reshape(1, n)
+    else:
+        full, remainder = divmod(n, block_size)
+        if remainder >= block_size / 2:
+            full += 1
+            samples = np.concatenate([samples, np.zeros(full * block_size - n)])
+        blocks = samples[: full * block_size].reshape(full, block_size)
+    energies = np.mean(blocks * blocks, axis=1)
+    mean_energy = float(energies.mean())
+    if mean_energy == 0.0:
+        return 0.0
+    rank = max(0, math.ceil(0.10 * energies.size) - 1)
+    noise_floor = float(np.sort(energies)[rank])
+    ratio = mean_energy / max(noise_floor, 1e-12)
+    return min(80.0, max(0.0, 10.0 * math.log10(ratio)))
+
+
+@st.composite
+def _feature_buffers(draw):
+    """Lengths around the MFCC frame, the SNR block and its half-block
+    boundary, with runs of +0.0 and -0.0 and all-zero buffers."""
+    block = draw(st.sampled_from([2, 7, 64, 400, 512]))
+    k = draw(st.integers(0, 6))
+    n = draw(st.one_of(
+        st.sampled_from([1, 399, 400, 401, block - 1, block, block + 1]),
+        st.builds(lambda d: k * block + block // 2 + d, st.sampled_from([-1, 0])),
+    ))
+    n = max(1, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+    zeros = draw(st.sampled_from(["none", "positive", "negative", "mixed", "all"]))
+    if zeros == "all":
+        samples[:] = draw(st.sampled_from([0.0, -0.0]))
+    elif zeros != "none":
+        for _ in range(draw(st.integers(1, 4))):
+            start = int(rng.integers(0, n))
+            stop = min(n, start + int(rng.integers(1, 64)))
+            sign = {"positive": 0.0, "negative": -0.0}.get(zeros, float(rng.choice([0.0, -0.0])))
+            samples[start:stop] = sign
+    return AudioBuffer(samples=samples), block, draw(st.booleans())
+
+
+@given(_feature_buffers())
+@settings(max_examples=300, deadline=None)
+def test_features_match_pre_change_formulas_bit_for_bit(case):
+    buf, block, use_mfcc = case
+    samples = buf.samples
+    got = extract_acoustic_features(buf, use_mfcc=use_mfcc, snr_block_size=block)
+    rms = float(np.sqrt(np.mean(samples * samples)))
+    rms_norm = min(1.0, rms / (0.2 * 0.92))
+    zcr_raw = _zcr_formula(samples) / samples.size
+    zcr_norm = min(1.0, 10.0 * zcr_raw)
+    timbre = mfcc_timbre_score(samples, buf.sample_rate) if use_mfcc else None
+    want = {
+        "rms": rms,
+        "rms_norm": rms_norm,
+        "zcr_raw": zcr_raw,
+        "zcr_norm": zcr_norm,
+        "timbre_score": 0.5 if timbre is None else timbre,
+        "mfcc_present": timbre is not None,
+        "snr_db": _snr_formula(samples, block),
+        "arousal_raw": min(1.0, rms_norm * (0.9 + 0.1 * zcr_norm)),
+        "arousal_smoothed": None,
+    }
+    assert count_zero_crossings(samples) == _zcr_formula(samples)
+    assert set(got.as_metadata()) == set(want)
+    for name, value in want.items():
+        actual = getattr(got, name)
+        if isinstance(value, float):
+            assert actual.hex() == value.hex(), name
+        else:
+            assert actual == value, name
+
+
+def test_pcm_conversion_is_the_exact_quotient():
+    every_u8 = np.arange(256, dtype=np.uint8)
+    every_s16 = np.arange(-(2**15), 2**15, dtype=np.int32).astype(np.int16)
+    some_s32 = np.random.default_rng(16).integers(-(2**31), 2**31, 100_000, dtype=np.int64).astype(np.int32)
+    some_s32[:2] = (-(2**31), 2**31 - 1)
+    cases = [
+        (every_u8, (every_u8.astype(np.float64) - 128.0) / 128.0),
+        (every_s16, every_s16.astype(np.float64) / 32768.0),
+        (some_s32, some_s32.astype(np.float64) / 2147483648.0),
+        (every_s16.reshape(-1, 2), every_s16.reshape(-1, 2).astype(np.float64) / 32768.0),
+    ]
+    for data, want in cases:
+        got = _pcm_to_float(data)
+        assert got.dtype == np.float64 and got.shape == data.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_cached_tables_are_read_only():
     window = _hamming_window(400)
     bank = _mel_filterbank(26, 512, 16000)
@@ -656,6 +760,7 @@ def _bad_wav_files():
         "rifx": _wav_bytes(s16, payload, magic=b"RIFX"),
         "pcm_64_bit": _wav_bytes(_fmt_chunk(_PCM, 1, 16000, 64, 8), payload),
         "float_16_bit": _wav_bytes(_fmt_chunk(_FLOAT, 1, 16000, 16, 2), payload),
+        "sample_rate_0": _wav_bytes(_fmt_chunk(_PCM, 1, 0, 16, 2), payload),
     }
 
 
@@ -663,7 +768,7 @@ def _bad_wav_files():
 def test_read_wav_refuses(tmp_path, case):
     path = tmp_path / f"{case}.wav"
     path.write_bytes(_bad_wav_files()[case])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read_wav(str(path))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_wav(str(path))

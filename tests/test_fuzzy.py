@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affectfuse.fuzzy import (
+    FiredRule,
     FuzzyRule,
     InvalidRuleBase,
     MembershipFunction,
@@ -143,8 +144,6 @@ def test_aggregate_empty_is_zero():
 
 
 def test_aggregate_takes_max():
-    from affectfuse.fuzzy import FiredRule
-
     fired = [
         FiredRule(("a is b",), "w_text is high", 0.3),
         FiredRule(("a is c",), "w_text is high", 0.8),
@@ -269,6 +268,15 @@ def test_unresolvable_set_rejected_at_load():
         parse_rule_base(bad_base)
 
 
+def test_input_variable_without_an_input_rejected_at_load():
+    from affectfuse.core import load_yaml, read_data_file
+
+    mapping = load_yaml(read_data_file(None, "rules_trace.yaml")[0])
+    mapping["variables"]["pitch"] = {"domain": [0, 1], "sets": {"low": [0, 0, 0.3, 0.5]}}
+    with pytest.raises(InvalidRuleBase, match="unknown input variable 'pitch'"):
+        parse_rule_base(mapping)
+
+
 def test_rule_without_antecedents_rejected():
     with pytest.raises(InvalidRuleBase):
         FuzzyRule(antecedents=(), consequent="mid")
@@ -292,3 +300,105 @@ def test_support_outside_domain_rejected():
 def test_builtin_ids():
     assert TRACE_BASE.rule_base_id == "trace"
     assert DEFAULT_BASE.rule_base_id == "default-r1r4"
+
+
+# --- compiled rule base -------------------------------------------------------
+
+def _infer_oracle(rule_base, asr_conf, arousal, valence):
+    """Per-call Mamdani inference: formats every rule and rebuilds the output
+    grid and each set's membership on it, then parses each consequent back."""
+    given_inputs = {"asr_conf": asr_conf, "arousal": arousal, "valence": valence}
+    inputs = {name: rule_base.variables[name].clamp_input(x) for name, x in given_inputs.items()}
+    fired = []
+    for rule in rule_base.rules:
+        strength = min(rule_base.variables[v].sets[s](inputs[v]) for v, s in rule.antecedents)
+        fired.append(FiredRule(
+            conditions=tuple(f"{v} is {s}" for v, s in rule.antecedents),
+            consequent=f"{rule_base.output.name} is {rule.consequent}",
+            strength=strength,
+        ))
+    out_sets = {label: 0.0 for label in rule_base.output.sets}
+    for rule in fired:
+        label = rule.consequent.rsplit(" is ", 1)[-1]
+        if rule.strength > out_sets[label]:
+            out_sets[label] = rule.strength
+    output = rule_base.output
+    xs = np.linspace(output.domain[0], output.domain[1], 1001)
+    aggregated = np.zeros_like(xs)
+    for label, activation in out_sets.items():
+        if activation > 0.0:
+            np.maximum(aggregated, np.minimum(output.sets[label].evaluate_grid(xs), activation), out=aggregated)
+    total = float(aggregated.sum())
+    w_text = None if total == 0.0 else float((xs * aggregated).sum() / total)
+    return inputs, tuple(fired), out_sets, w_text
+
+
+def _input_grid(rule_base, seed, per_variable=12):
+    """Domain edges, points just outside them, every breakpoint, then seeded draws."""
+    rng = np.random.default_rng(seed)
+    axes = []
+    for name in ("asr_conf", "arousal", "valence"):
+        variable = rule_base.variables[name]
+        lo, hi = variable.domain
+        points = {lo, hi, lo - 0.25, hi + 0.5}
+        for mf in variable.sets.values():
+            points.update((mf.a, mf.b, mf.c, mf.d))
+        points = sorted(points)
+        points += list(rng.uniform(lo - 0.1, hi + 0.1, max(0, per_variable - len(points))))
+        axes.append(points)
+    return [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+
+
+def _assert_trace_matches_oracle(rule_base, triple):
+    inputs, fired, out_sets, w_text = _infer_oracle(rule_base, *triple)
+    if w_text is None:
+        with pytest.raises(ZeroActivation):
+            infer_w_text(rule_base, *triple)
+        return None
+    trace = infer_w_text(rule_base, *triple)
+    assert trace.inputs == inputs
+    assert [(r.conditions, r.consequent, r.strength.hex()) for r in trace.fired_rules] == [
+        (r.conditions, r.consequent, r.strength.hex()) for r in fired
+    ]
+    assert {k: v.hex() for k, v in trace.out_sets.items()} == {k: v.hex() for k, v in out_sets.items()}
+    assert list(trace.out_sets) == list(out_sets)
+    assert trace.w_text.hex() == w_text.hex()
+    return trace.w_text
+
+
+@pytest.mark.parametrize("builtin", ["default", "trace"])
+def test_compiled_inference_matches_per_call_oracle(builtin):
+    rule_base = load_rule_base(builtin=builtin)
+    triples = _input_grid(rule_base, seed=16)
+    assert len(triples) >= 1000
+    for triple in triples:
+        _assert_trace_matches_oracle(rule_base, triple)
+
+
+def _trace_mapping(mid_peak):
+    from affectfuse.core import load_yaml, read_data_file
+
+    mapping = load_yaml(read_data_file(None, "rules_trace.yaml")[0])
+    mapping["output"]["sets"]["mid"] = [0.0, mid_peak, mid_peak, 1.0]
+    return mapping
+
+
+@pytest.mark.parametrize("order", [(0.5, 0.3), (0.3, 0.5)])
+def test_output_tables_belong_to_each_rule_base(order):
+    # Same rule_base_id, one output breakpoint apart: each base infers with
+    # its own grid tables, whichever was built first.
+    first, second = (parse_rule_base(_trace_mapping(peak)) for peak in order)
+    assert first.rule_base_id == second.rule_base_id == "trace"
+    inputs = (0.2, 0.9, 0.0)  # only "w_text is mid" fires
+    w_first = _assert_trace_matches_oracle(first, inputs)
+    w_second = _assert_trace_matches_oracle(second, inputs)
+    assert w_first != w_second
+    assert infer_w_text(first, *inputs).w_text == w_first
+
+
+def test_compiled_tables_are_read_only():
+    with pytest.raises(ValueError):
+        DEFAULT_BASE._xs[0] = 1.0
+    for grid in DEFAULT_BASE._out_grids.values():
+        with pytest.raises(ValueError):
+            grid[0] = 1.0

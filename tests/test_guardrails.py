@@ -77,6 +77,19 @@ def test_keyword_matching_ignores_case_and_diacritics():
     assert esc2.triggered
 
 
+def test_accented_upper_case_keyword_file_matches(tmp_path):
+    keywords = tmp_path / "keywords.txt"
+    keywords.write_text("HACERME DAÑO\nQUITARME LA VÍDA\n", encoding="utf-8")
+    loaded = load_keywords(str(keywords))
+    for _ in range(2):  # the second turn reuses each keyword's normalized form
+        esc = evaluate_guardrails(
+            outcome({"neutral": 1.0}), "A veces pienso en quitarme la vida", keywords=loaded
+        )
+        assert esc.reasons == ["keyword:QUITARME LA VÍDA"]
+        esc = evaluate_guardrails(outcome({"neutral": 1.0}), "hacerme dano", keywords=loaded)
+        assert esc.reasons == ["keyword:HACERME DAÑO"]
+
+
 def test_benign_turn_not_triggered():
     esc = evaluate_guardrails(outcome({"neutral": 0.9, "joy": 0.1}), "hola, todo bien", keywords=KEYWORDS)
     assert not esc.triggered
