@@ -8,7 +8,7 @@ default base to show the soft-gating curve.
 
 import numpy as np
 
-from affectfuse import infer_w_text, load_rule_base
+from affectfuse.fuzzy import infer_w_text, load_rule_base
 
 trace_base = load_rule_base(builtin="trace")
 default_base = load_rule_base(builtin="default")

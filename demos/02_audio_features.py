@@ -7,8 +7,14 @@ ASR confidence downstream).
 
 import numpy as np
 
-from affectfuse import ArousalSmoother, audio_emotion, dominant_emotion
-from affectfuse.audio import AudioBuffer, compute_snr_db, extract_acoustic_features
+from affectfuse.audio import (
+    ArousalSmoother,
+    AudioBuffer,
+    audio_emotion,
+    compute_snr_db,
+    extract_acoustic_features,
+)
+from affectfuse.core import dominant_emotion
 
 rate = 16000
 t = np.arange(2 * rate) / rate

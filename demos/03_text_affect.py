@@ -5,8 +5,14 @@ each token contributed: lemma resolution, the multiplier picked up from a
 preceding intensifier, and polarity flips under negation.
 """
 
-from affectfuse import dominant_emotion, load_lemma_dictionary, load_lexicon, text_emotion
-from affectfuse.text import preprocess, score_text
+from affectfuse.core import dominant_emotion
+from affectfuse.text import (
+    load_lemma_dictionary,
+    load_lexicon,
+    preprocess,
+    score_text,
+    text_emotion,
+)
 
 lexicon = load_lexicon()
 lemmas = load_lemma_dictionary()

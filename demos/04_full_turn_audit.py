@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from affectfuse import Pipeline, TurnInput, load_config
 from affectfuse.audit import verify_anchorage
 from affectfuse.cli import main as cli
+from affectfuse.config import load_config
+from affectfuse.pipeline import Pipeline, TurnInput
 
 with tempfile.TemporaryDirectory(prefix="affectfuse-demo-") as tmp:
     workdir = Path(tmp)

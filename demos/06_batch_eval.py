@@ -9,7 +9,9 @@ prints the headline metrics plus the disagreement analysis.
 import tempfile
 from pathlib import Path
 
-from affectfuse import PipelineConfig, generate_synthetic_corpus, run_batch_eval
+from affectfuse.config import PipelineConfig
+from affectfuse.corpus import generate_synthetic_corpus
+from affectfuse.evaluate import run_batch_eval
 
 with tempfile.TemporaryDirectory(prefix="affectfuse-eval-") as tmp:
     workdir = Path(tmp)

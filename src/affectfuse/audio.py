@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .config import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR, DEFAULT_SNR_BLOCK
 from .core import EmotionResult, VadState, clamp
 
 TARGET_SAMPLE_RATE = 16000
@@ -37,10 +38,6 @@ VA_PROTOTYPES: Dict[str, Tuple[float, float]] = {
     "neutral": (0.0, 0.3),
 }
 PROTOTYPE_TAU = 0.15
-
-DEFAULT_NORM_FACTOR = 0.2
-DEFAULT_ALPHA = 0.3
-DEFAULT_SNR_BLOCK = 512
 
 # MFCC timbre parameters: 25 ms frames, 10 ms hop, 26 mel filters, 13 coeffs.
 _FRAME_SECONDS = 0.025

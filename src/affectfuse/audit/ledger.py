@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .canonical import canonicalize
+from .canonical import canonicalize, compute_txid
 from .log import Journal
 
 STATUS_DISABLED = "disabled"
@@ -337,7 +337,7 @@ def verify_anchorage(
     its block still hashes: a break at or before that block is
     TAMPER_DETECTED too.
     """
-    digest = hashlib.sha256(event_bytes).hexdigest()
+    digest = compute_txid(event_bytes)
     if digest != claimed_txid:
         return Verdict(
             kind=VERDICT_TAMPER_DETECTED,

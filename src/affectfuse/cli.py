@@ -15,19 +15,15 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .audit import (
-    compute_txid,
-    parse_canonical,
-    read_event_line,
-    verify_anchorage,
-)
-from .audit.ledger import VERDICT_VERIFIED, AnchorError
-from .config import ConfigError, load_config
-from .corpus import generate_synthetic_corpus
-from .evaluate import VARIANTS, run_batch_eval
-from .fuzzy import load_rule_base
+from .audit.canonical import compute_txid, parse_canonical
+from .audit.ledger import VERDICT_VERIFIED, AnchorError, verify_anchorage
+from .audit.log import read_event_line
+from .config import ConfigError, load_config, open_ledger
 from .metrics import MetricsRegistry, MetricsServer, export_metrics
-from .pipeline import Pipeline, TurnInput, explain_event, open_ledger
+
+# The commands that run inference import numpy through the pipeline,
+# evaluate, corpus and fuzzy modules, so each imports them when it runs:
+# verify and anchor-status then load the standard library and PyYAML only.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch = commands.add_parser("batch-eval", help="evaluate variants over a manifest")
     batch.add_argument("--manifest", required=True)
     batch.add_argument("--out", required=True, help="report output directory")
-    batch.add_argument("--variants", default=",".join(VARIANTS))
+    batch.add_argument("--variants", default=None, help="comma-separated (default: all)")
     batch.add_argument("--ablations", default="")
     batch.add_argument("--metrics-dump", default=None)
     batch.set_defaults(run=_cmd_batch_eval)
@@ -101,6 +97,8 @@ def _read_event(args) -> bytes:
 
 
 def _cmd_analyze(args, config) -> int:
+    from .pipeline import Pipeline, TurnInput
+
     with Pipeline(config) as pipeline:
         result = pipeline.run_turn(
             TurnInput(
@@ -126,7 +124,9 @@ def _cmd_analyze(args, config) -> int:
 
 
 def _cmd_batch_eval(args, config) -> int:
-    variants = [v for v in args.variants.split(",") if v]
+    from .evaluate import VARIANTS, run_batch_eval
+
+    variants = VARIANTS if args.variants is None else [v for v in args.variants.split(",") if v]
     ablations = [a for a in args.ablations.split(",") if a]
     registry = MetricsRegistry(config.model_size, config.run_id)
     report = run_batch_eval(
@@ -153,6 +153,8 @@ def _cmd_batch_eval(args, config) -> int:
 
 
 def _cmd_gen_corpus(args, _config) -> int:
+    from .corpus import generate_synthetic_corpus
+
     levels = None
     if args.noise_levels:
         levels = [float(v) for v in args.noise_levels.split(",")]
@@ -175,6 +177,9 @@ def _cmd_verify(args, config) -> int:
 
 
 def _cmd_explain(args, config) -> int:
+    from .fuzzy import load_rule_base
+    from .pipeline import explain_event
+
     event_bytes = _read_event(args)
     if compute_txid(event_bytes) != args.txid:
         print(f"event bytes do not hash to txid {args.txid}; nothing written", file=sys.stderr)
@@ -196,6 +201,8 @@ def _cmd_anchor_status(args, config) -> int:
 
 
 def _cmd_metrics_serve(args, config) -> int:
+    from .evaluate import run_batch_eval
+
     registry = MetricsRegistry(config.model_size, config.run_id)
     port = args.port if args.port is not None else config.metrics.port
     server = MetricsServer(registry, port)

@@ -11,23 +11,34 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import yaml
 
-from .audio import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR, DEFAULT_SNR_BLOCK
-from .audit.ledger import DEFAULT_BLOCK_INTERVAL, DEFAULT_MAX_BLOCK_ENTRIES, DEFAULT_SENDER
-from .core import load_yaml
-from .fusion import (
-    DEFAULT_SNR_LOW_DB,
-    DEFAULT_SNR_LOW_FACTOR,
-    DEFAULT_SNR_MID_DB,
-    DEFAULT_SNR_MID_FACTOR,
+from .audit.ledger import (
+    DEFAULT_BLOCK_INTERVAL,
+    DEFAULT_MAX_BLOCK_ENTRIES,
+    DEFAULT_SENDER,
+    SimulatedLedger,
 )
-from .guardrails import DEFAULT_THRESHOLDS, HEDGE_COHERENCE, HEDGE_PROBABILITY
+from .core import load_yaml
 from .text import DEFAULT_INTENSIFIERS, DEFAULT_NEGATION_MARKERS
 
 ENV_PREFIX = "APP__"
+
+# Defaults of the audio, fusion and guardrails modules. They live here, and
+# those modules import them, so that loading a configuration (as the verify
+# and anchor-status commands do) does not load numpy.
+DEFAULT_NORM_FACTOR = 0.2
+DEFAULT_ALPHA = 0.3
+DEFAULT_SNR_BLOCK = 512
+DEFAULT_SNR_LOW_DB = 5.0
+DEFAULT_SNR_MID_DB = 12.0
+DEFAULT_SNR_LOW_FACTOR = 0.6
+DEFAULT_SNR_MID_FACTOR = 0.85
+DEFAULT_THRESHOLDS: Dict[str, float] = {"fear": 0.7, "sadness": 0.85}
+HEDGE_PROBABILITY = 0.5
+HEDGE_COHERENCE = 0.4
 
 
 class ConfigError(ValueError):
@@ -84,6 +95,22 @@ class AnchoringConfig:
     sender: str = DEFAULT_SENDER
     block_interval: float = DEFAULT_BLOCK_INTERVAL
     max_block_entries: int = DEFAULT_MAX_BLOCK_ENTRIES
+
+
+def open_ledger(
+    config: PipelineConfig, clock: Optional[Callable[[], str]] = None, auto_seal: bool = False
+) -> SimulatedLedger:
+    """The ledger that ``config.anchoring`` describes."""
+    anchoring = config.anchoring
+    return SimulatedLedger(
+        ledger_path=anchoring.ledger_path,
+        pending_path=anchoring.pending_path,
+        sender=anchoring.sender,
+        block_interval=anchoring.block_interval,
+        max_block_entries=anchoring.max_block_entries,
+        clock=clock,
+        auto_seal=auto_seal,
+    )
 
 
 @dataclass

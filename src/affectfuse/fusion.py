@@ -13,6 +13,12 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
+from .config import (
+    DEFAULT_SNR_LOW_DB,
+    DEFAULT_SNR_LOW_FACTOR,
+    DEFAULT_SNR_MID_DB,
+    DEFAULT_SNR_MID_FACTOR,
+)
 from .core import LABELS, EmotionResult, VadState, clamp
 from .fuzzy import FuzzyTrace, RuleBase, ZeroActivation, infer_w_text
 
@@ -20,11 +26,6 @@ log = logging.getLogger(__name__)
 
 MODE_FUZZY = "fuzzy"
 MODE_LINEAR_FALLBACK = "linear_fallback"
-
-DEFAULT_SNR_LOW_DB = 5.0
-DEFAULT_SNR_MID_DB = 12.0
-DEFAULT_SNR_LOW_FACTOR = 0.6
-DEFAULT_SNR_MID_FACTOR = 0.85
 
 
 @dataclass(frozen=True)

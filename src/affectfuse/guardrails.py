@@ -16,14 +16,11 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from .config import DEFAULT_THRESHOLDS, HEDGE_COHERENCE, HEDGE_PROBABILITY
 from .core import _strip_accents, data_lines, dominant_emotion, read_data_file
 from .fusion import FusionOutcome
 
 log = logging.getLogger(__name__)
-
-DEFAULT_THRESHOLDS: Dict[str, float] = {"fear": 0.7, "sadness": 0.85}
-HEDGE_PROBABILITY = 0.5
-HEDGE_COHERENCE = 0.4
 
 STATUS_SKIPPED = "skipped"
 STATUS_DELIVERED = "delivered"

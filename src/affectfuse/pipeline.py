@@ -23,18 +23,12 @@ from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Tupl
 
 from . import audio as audio_mod
 from . import text as text_mod
-from .audit import (
-    CANONICAL_VERSION,
-    AnchorRecord,
-    AuditLog,
-    SimulatedLedger,
-    anchor_txid,
-    canonicalize,
-    compute_txid,
-    export_explainability_artifact,
-    redact_pii,
-)
-from .config import ConfigError, PipelineConfig
+from .audit.artifacts import export_explainability_artifact
+from .audit.canonical import CANONICAL_VERSION, canonicalize, compute_txid
+from .audit.ledger import AnchorRecord, SimulatedLedger, anchor_txid
+from .audit.log import AuditLog
+from .audit.redact import redact_pii
+from .config import ConfigError, PipelineConfig, open_ledger
 from .core import EmotionResult, dominant_emotion
 from .fusion import adjust_asr_confidence, fuse
 from .fuzzy import RuleBase, load_rule_base
@@ -127,22 +121,6 @@ class _Session:
     smoother: audio_mod.ArousalSmoother
     turns: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-def open_ledger(
-    config: PipelineConfig, clock: Optional[Clock] = None, auto_seal: bool = False
-) -> SimulatedLedger:
-    """The ledger that ``config.anchoring`` describes."""
-    anchoring = config.anchoring
-    return SimulatedLedger(
-        ledger_path=anchoring.ledger_path,
-        pending_path=anchoring.pending_path,
-        sender=anchoring.sender,
-        block_interval=anchoring.block_interval,
-        max_block_entries=anchoring.max_block_entries,
-        clock=clock,
-        auto_seal=auto_seal,
-    )
 
 
 class Pipeline:

@@ -1,9 +1,26 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from affectfuse.config import PipelineConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(program: str, *args: str) -> str:
+    """Run ``program`` in a fresh interpreter that imports this checkout; return its stdout."""
+    out = subprocess.run(
+        [sys.executable, "-c", program, *args],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return out.stdout
 
 
 def make_test_config(tmp_path, anchoring: bool = False, **overrides) -> PipelineConfig:

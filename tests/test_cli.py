@@ -10,7 +10,7 @@ import pytest
 from affectfuse.audit import AuditLog, SimulatedLedger, canonicalize
 from affectfuse.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 
-from conftest import sine_buffer, write_wav
+from conftest import run_python, sine_buffer, write_wav
 
 
 @pytest.fixture
@@ -189,6 +189,42 @@ def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_pa
     assert (audit / "pending.json").read_bytes() == queued
     assert not (audit / "pending.json.torn").exists()
     assert not (audit / "ledger.json").exists()
+
+
+# Each case runs in a fresh interpreter, then lists which of the named modules
+# that interpreter loaded. scipy is only a test oracle, the webhook and the
+# metrics server load the HTTP stack on first use, and verifying needs neither
+# numpy nor PyYAML (the CLI loads PyYAML only to read its configuration).
+_RUNTIME = "import affectfuse.cli, affectfuse.pipeline, affectfuse.evaluate"
+_READ_COMMANDS = (
+    "from affectfuse.cli import main\n"
+    "assert main(['--config', CONFIG, 'verify', '--event', EVENT, '--txid', TXID]) == 0\n"
+    "assert main(['--config', CONFIG, 'anchor-status', '--txid', TXID]) == 0"
+)
+FOOTPRINT = {
+    "runtime_without_scipy": (_RUNTIME, ["scipy"]),
+    "runtime_without_http_stack": (_RUNTIME, ["http.client", "http.server", "ssl", "urllib.request"]),
+    "audit_without_numpy_or_yaml": ("import affectfuse.audit", ["numpy", "yaml"]),
+    "cli_verify_without_numpy": (_READ_COMMANDS, ["numpy"]),
+}
+
+
+@pytest.mark.parametrize("case", list(FOOTPRINT))
+def test_import_footprint(workspace, tmp_path, case):
+    _, config, _ = workspace
+    event = tmp_path / "event.json"
+    event.write_bytes(b'{"x":1}')
+    txid = hashlib.sha256(b'{"x":1}').hexdigest()
+    audit = tmp_path / "audit"
+    with SimulatedLedger(str(audit / "ledger.json"), str(audit / "pending.json")) as ledger:
+        ledger.submit(txid)
+    program, modules = FOOTPRINT[case]
+    out = run_python(
+        f"import sys\nCONFIG, EVENT, TXID = sys.argv[1:]\n{program}\n"
+        f"print(sorted(set({modules!r}) & set(sys.modules)))",
+        config, str(event), txid,
+    )
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_metrics_serve_smoke(workspace, capsys, tmp_path):

@@ -1,14 +1,10 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import threading
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from pathlib import Path
 
 import pytest
 
@@ -222,18 +218,3 @@ def test_plan_response_total_over_all_labels():
 def test_plan_response_total_with_missing_templates():
     text = plan_response(outcome({"joy": 0.9, "neutral": 0.1}), Escalation(False), {})
     assert isinstance(text, str) and text
-
-
-def test_runtime_modules_do_not_import_the_http_stack():
-    # The webhook and the metrics server import it on first use only.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import sys, affectfuse.cli, affectfuse.pipeline, affectfuse.evaluate; "
-        "print(sorted({'http.server', 'http.client', 'urllib.request', 'ssl'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "[]"

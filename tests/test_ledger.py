@@ -26,6 +26,8 @@ from affectfuse.audit.ledger import (
     verify_anchorage,
 )
 
+from conftest import run_python
+
 
 def make_ledger(tmp_path, **kwargs):
     return SimulatedLedger(
@@ -228,6 +230,50 @@ def test_a_block_edited_to_the_same_content_is_broken(tmp_path, edit):
     for n in range(10):
         verdict = verify_anchorage(events[n], compute_txid(events[n]), ledger)
         assert verdict.kind == ("verified" if n < 4 else "tamper_detected")
+
+
+def test_verdicts_match_in_an_interpreter_without_numpy_or_yaml(tmp_path):
+    """Verification runs on the standard library alone and says the same."""
+    events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
+    intact, edited = tmp_path / "intact", tmp_path / "edited"
+    for directory in (intact, edited):
+        with make_ledger(directory, max_block_entries=4) as ledger:
+            for event in events:
+                ledger.submit(compute_txid(event))
+    lines = ledger_lines(edited)
+    block = lines[1].replace(b'"block_number":1,', b'"block_number": 1,')
+    (edited / "ledger.json").write_bytes(lines[0] + block + lines[2])
+    flipped = bytearray(events[0])
+    flipped[10] ^= 0x01
+    stray = canonicalize({"case": "never submitted"})
+    cases = {
+        "intact": (intact, events[0], compute_txid(events[0])),
+        "flipped_byte": (intact, bytes(flipped), compute_txid(events[0])),
+        "unknown_txid": (intact, stray, compute_txid(stray)),
+        "same_content_block_edit": (edited, events[5], compute_txid(events[5])),
+    }
+    in_process = {
+        name: verify_anchorage(event, txid, make_ledger(directory, max_block_entries=4)).as_dict()
+        for name, (directory, event, txid) in cases.items()
+    }
+    program = """
+import json, sys
+sys.modules["numpy"] = sys.modules["yaml"] = None
+from affectfuse.audit.ledger import SimulatedLedger, verify_anchorage
+verdicts = {}
+for name, (directory, event, txid) in json.loads(sys.argv[1]).items():
+    ledger = SimulatedLedger(directory + "/ledger.json", directory + "/pending.json")
+    verdicts[name] = verify_anchorage(bytes.fromhex(event), txid, ledger).as_dict()
+print(json.dumps(verdicts))
+"""
+    arg = {name: (str(d), event.hex(), txid) for name, (d, event, txid) in cases.items()}
+    assert json.loads(run_python(program, json.dumps(arg))) == in_process
+    assert {name: v["verdict"] for name, v in in_process.items()} == {
+        "intact": "verified",
+        "flipped_byte": "tamper_detected",
+        "unknown_txid": "not_anchored",
+        "same_content_block_edit": "tamper_detected",
+    }
 
 
 def hash_calls():

@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from affectfuse import pipeline as pipeline_mod
-from affectfuse.audit import (
-    AuditWriteError,
-    compute_txid,
-    export_explainability_artifact,
-    parse_canonical,
-    read_event_line,
-)
+from affectfuse.audit import AuditWriteError, compute_txid, parse_canonical, read_event_line
 from affectfuse.audit import artifacts as artifacts_mod
+from affectfuse.audit.artifacts import export_explainability_artifact
 from affectfuse.corpus import generate_synthetic_corpus
 from affectfuse.evaluate import load_manifest
 from affectfuse.metrics import MetricsRegistry
