@@ -23,7 +23,7 @@ from .metrics import MetricsRegistry, MetricsServer, export_metrics
 
 # The commands that run inference import numpy through the pipeline,
 # evaluate, corpus and fuzzy modules, so each imports them when it runs:
-# verify and anchor-status then load the standard library and PyYAML only.
+# verify and anchor-status then load the standard library only (and PyYAML for --config).
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

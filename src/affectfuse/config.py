@@ -11,9 +11,7 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-import yaml
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .audit.ledger import (
     DEFAULT_BLOCK_INTERVAL,
@@ -21,14 +19,12 @@ from .audit.ledger import (
     DEFAULT_SENDER,
     SimulatedLedger,
 )
-from .core import load_yaml
-from .text import DEFAULT_INTENSIFIERS, DEFAULT_NEGATION_MARKERS
 
 ENV_PREFIX = "APP__"
 
-# Defaults of the audio, fusion and guardrails modules. They live here, and
-# those modules import them, so that loading a configuration (as the verify
-# and anchor-status commands do) does not load numpy.
+# Defaults of the audio, text, fusion and guardrails modules. They live here,
+# and those modules import them, so that loading a configuration (as the
+# verify and anchor-status commands do) loads neither numpy nor PyYAML.
 DEFAULT_NORM_FACTOR = 0.2
 DEFAULT_ALPHA = 0.3
 DEFAULT_SNR_BLOCK = 512
@@ -39,6 +35,20 @@ DEFAULT_SNR_MID_FACTOR = 0.85
 DEFAULT_THRESHOLDS: Dict[str, float] = {"fear": 0.7, "sadness": 0.85}
 HEDGE_PROBABILITY = 0.5
 HEDGE_COHERENCE = 0.4
+DEFAULT_NEGATION_MARKERS: Tuple[str, ...] = ("no", "nunca", "jamás", "sin", "tampoco")
+
+#: Multipliers applied to the content token following the intensifier.
+#: Multiword intensifiers win over their single-word prefixes ("un poco"
+#: before "poco").
+DEFAULT_INTENSIFIERS: Dict[str, float] = {
+    "muy": 1.5,
+    "extremadamente": 2.0,
+    "sumamente": 1.8,
+    "totalmente": 1.6,
+    "algo": 0.8,
+    "un poco": 0.7,
+    "poco": 0.6,
+}
 
 
 class ConfigError(ValueError):
@@ -182,14 +192,13 @@ def _apply_mapping(section: Any, values: Mapping[str, Any], prefix: str) -> None
 
 
 def _apply_file(config: PipelineConfig, path: str) -> None:
+    from .core import load_yaml
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = load_yaml(text) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+    data = load_yaml(text, path) or {}
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
     base = Path(path).resolve().parent
@@ -255,6 +264,8 @@ def _check_file(path: Optional[str], key: str) -> None:
 
 
 def validate_config(config: PipelineConfig) -> PipelineConfig:
+    from .core import InvalidScore, canonical_label
+
     _check_range(config.audio.alpha_ema, 0.0, 1.0, "audio.alpha_ema", open_lo=True)
     _check_range(config.audio.norm_factor, 0.0, 1e6, "audio.norm_factor", open_lo=True)
     if config.audio.snr_block_size < 1:
@@ -264,8 +275,17 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     _check_range(config.fusion.snr_mid_factor, 0.0, 1.0, "fusion.snr_mid_factor", open_lo=True)
     if not 0.0 <= config.fusion.snr_low_db <= config.fusion.snr_mid_db:
         raise ConfigError("fusion.snr_low_db: SNR bands must satisfy 0 <= low <= mid")
-    for label, limit in config.guardrails.thresholds.items():
-        _check_range(limit, 0.0, 1.0, f"guardrails.thresholds.{label}", open_lo=True)
+    thresholds: Dict[str, float] = {}  # keyed by canonical label, so each can fire
+    for key, limit in config.guardrails.thresholds.items():
+        try:
+            label = canonical_label(key)
+        except InvalidScore as exc:
+            raise ConfigError(f"guardrails.thresholds.{key}: {exc}") from exc
+        if label in thresholds:
+            raise ConfigError(f"guardrails.thresholds.{key}: a second threshold for {label}")
+        _check_range(limit, 0.0, 1.0, f"guardrails.thresholds.{key}", open_lo=True)
+        thresholds[label] = limit
+    config.guardrails.thresholds = thresholds
     _check_range(config.guardrails.hedge_probability, 0.0, 1.0, "guardrails.hedge_probability")
     _check_range(config.guardrails.hedge_coherence, 0.0, 1.0, "guardrails.hedge_coherence")
     if config.anchoring.block_interval <= 0:

@@ -15,7 +15,7 @@ import math
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import unicodedata
 
-import yaml
+from .config import ConfigError
 
 #: Canonical label ordering. It is total and stable: ties and serializations
 #: always follow this order.
@@ -56,14 +56,17 @@ def read_data_file(path: Optional[str], bundled: str) -> Tuple[str, str]:
         return handle.read(), str(path)
 
 
-#: libyaml's parser when PyYAML was built with it, else the pure-Python one.
-#: Both build values with the same Python SafeConstructor.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def load_yaml(text: str, origin: str = "<string>") -> Any:
+    """Parse YAML with the safe constructor, through libyaml when PyYAML has it.
 
+    PyYAML loads on the first call. Invalid YAML raises ConfigError naming ``origin``.
+    """
+    import yaml
 
-def load_yaml(text: str) -> Any:
-    """Parse YAML text with the safe constructor (rule bases and config files)."""
-    return yaml.load(text, Loader=_YAML_LOADER)
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{origin}: not valid YAML: {exc}") from exc
 
 
 def data_lines(text: str) -> Iterator[Tuple[int, str]]:

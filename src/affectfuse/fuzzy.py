@@ -14,12 +14,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import ConfigError
 from .core import clamp, load_yaml, read_data_file
 
 GRID_POINTS = 1001
 
 
-class InvalidRuleBase(ValueError):
+class InvalidRuleBase(ConfigError):
     """A rule base references unknown variables/sets or is malformed."""
 
 
@@ -355,7 +356,7 @@ def load_rule_base(path: Optional[str] = None, builtin: str = "default") -> Rule
     """
     bundled = {"default": "rules_default.yaml", "trace": "rules_trace.yaml"}[builtin]
     text, origin = read_data_file(path, bundled)
-    parsed = load_yaml(text)
+    parsed = load_yaml(text, origin)
     if not isinstance(parsed, Mapping):
         raise InvalidRuleBase(f"{origin}: top level must be a mapping")
     return parse_rule_base(parsed, origin)

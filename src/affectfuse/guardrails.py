@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .config import DEFAULT_THRESHOLDS, HEDGE_COHERENCE, HEDGE_PROBABILITY
+from .config import DEFAULT_THRESHOLDS, HEDGE_COHERENCE, HEDGE_PROBABILITY, ConfigError
 from .core import _strip_accents, data_lines, dominant_emotion, read_data_file
 from .fusion import FusionOutcome
 
@@ -197,7 +197,7 @@ def load_templates(path: Optional[str] = None) -> Dict[str, str]:
     templates: Dict[str, str] = {}
     for lineno, line in data_lines(text):
         if ":" not in line:
-            raise ValueError(f"{origin}:{lineno}: expected 'key: text'")
+            raise ConfigError(f"{origin}:{lineno}: expected 'key: text'")
         key, value = line.split(":", 1)
         templates[key.strip()] = value.strip()
     return templates

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .config import DEFAULT_INTENSIFIERS, DEFAULT_NEGATION_MARKERS, ConfigError
 from .core import (
     LABELS,
     EmotionResult,
@@ -23,21 +24,6 @@ from .core import (
     normalize_distribution,
     read_data_file,
 )
-
-DEFAULT_NEGATION_MARKERS: Tuple[str, ...] = ("no", "nunca", "jamás", "sin", "tampoco")
-
-#: Multipliers applied to the content token following the intensifier.
-#: Multiword intensifiers win over their single-word prefixes ("un poco"
-#: before "poco").
-DEFAULT_INTENSIFIERS: Dict[str, float] = {
-    "muy": 1.5,
-    "extremadamente": 2.0,
-    "sumamente": 1.8,
-    "totalmente": 1.6,
-    "algo": 0.8,
-    "un poco": 0.7,
-    "poco": 0.6,
-}
 
 #: Content tokens covered by a negation marker before the scope expires.
 NEGATION_SCOPE = 3
@@ -234,14 +220,17 @@ def load_lexicon(path: Optional[str] = None) -> Dict[str, LexiconEntry]:
     for lineno, line in data_lines(text):
         parts = line.split("\t")
         if len(parts) != 4:
-            raise ValueError(f"{origin}:{lineno}: expected 4 tab-separated columns")
+            raise ConfigError(f"{origin}:{lineno}: expected 4 tab-separated columns")
         lemma, emotion, weight, valence = parts
-        entry = LexiconEntry(
-            lemma=lemma.strip(),
-            emotion=emotion.strip(),
-            weight=float(weight),
-            valence=float(valence),
-        )
+        try:
+            entry = LexiconEntry(
+                lemma=lemma.strip(),
+                emotion=emotion.strip(),
+                weight=float(weight),
+                valence=float(valence),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{origin}:{lineno}: {exc}") from exc
         lexicon[entry.lemma] = entry
     return lexicon
 
@@ -253,6 +242,6 @@ def load_lemma_dictionary(path: Optional[str] = None) -> Dict[str, str]:
     for lineno, line in data_lines(text):
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{origin}:{lineno}: expected 2 tab-separated columns")
+            raise ConfigError(f"{origin}:{lineno}: expected 2 tab-separated columns")
         mapping[parts[0].strip()] = parts[1].strip()
     return mapping

@@ -112,8 +112,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     [
         ("audio: [alpha_ema: 0.5\n", "not valid YAML"),
         ("guardrails:\n  thresholds:\n    fear: abc\n", "guardrails.thresholds.fear"),
+        ("guardrails:\n  thresholds:\n    feer: 0.7\n", "guardrails.thresholds.feer"),
     ],
-    ids=["yaml", "threshold"],
+    ids=["yaml", "threshold", "threshold_label"],
 )
 def test_a_bad_config_file_is_a_config_error_not_a_traceback(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.yaml"
@@ -122,6 +123,35 @@ def test_a_bad_config_file_is_a_config_error_not_a_traceback(tmp_path, capsys, t
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("configuration error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "section, key, name, text",
+    [
+        ("fusion", "rule_base_path", "rules.yaml", "id: [broken\n"),
+        ("fusion", "rule_base_path", "rules.yaml", "id: broken\nvariables: {}\nrules: []\n"),
+        ("text", "lexicon_path", "lexicon.tsv", "feliz\talegria\t0.5\n"),
+        ("text", "lexicon_path", "lexicon.tsv", "feliz\talegria\tmucho\t0.4\n"),
+        ("text", "lemmas_path", "lemmas.tsv", "feliz\n"),
+        ("guardrails", "templates_path", "templates.txt", "handoff\n"),
+    ],
+    ids=["rule_base_yaml", "rule_base_section", "lexicon_columns", "lexicon_weight", "lemmas", "templates"],
+)
+def test_a_bad_data_file_is_a_config_error_naming_the_file(workspace, capsys, section, key, name, text):
+    tmp_path, config, wav = workspace
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    configured = tmp_path / "data.yaml"
+    configured.write_text(
+        Path(config).read_text(encoding="utf-8") + f"{section}:\n  {key}: {name}\n", encoding="utf-8"
+    )
+    code = main([
+        "--config", str(configured), "analyze",
+        "--audio", wav, "--transcript", "hola", "--asr-confidence", "0.9",
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: ") and f"{name}:" in err
     assert "Traceback" not in err
 
 
@@ -194,18 +224,29 @@ def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_pa
 # Each case runs in a fresh interpreter, then lists which of the named modules
 # that interpreter loaded. scipy is only a test oracle, the webhook and the
 # metrics server load the HTTP stack on first use, and verifying needs neither
-# numpy nor PyYAML (the CLI loads PyYAML only to read its configuration).
+# numpy nor PyYAML (the CLI loads PyYAML only to read a --config file).
 _RUNTIME = "import affectfuse.cli, affectfuse.pipeline, affectfuse.evaluate"
 _READ_COMMANDS = (
     "from affectfuse.cli import main\n"
     "assert main(['--config', CONFIG, 'verify', '--event', EVENT, '--txid', TXID]) == 0\n"
     "assert main(['--config', CONFIG, 'anchor-status', '--txid', TXID]) == 0"
 )
+# Without --config the default audit paths resolve against the working
+# directory, which is the workspace holding the config file.
+_READ_COMMANDS_WITHOUT_CONFIG = (
+    "import os\nos.chdir(os.path.dirname(CONFIG))\nfrom affectfuse.cli import main\n"
+    "assert main(['verify', '--event', EVENT, '--txid', TXID]) == 0\n"
+    "assert main(['anchor-status', '--txid', TXID]) == 0"
+)
 FOOTPRINT = {
     "runtime_without_scipy": (_RUNTIME, ["scipy"]),
     "runtime_without_http_stack": (_RUNTIME, ["http.client", "http.server", "ssl", "urllib.request"]),
     "audit_without_numpy_or_yaml": ("import affectfuse.audit", ["numpy", "yaml"]),
     "cli_verify_without_numpy": (_READ_COMMANDS, ["numpy"]),
+    "config_without_numpy_or_yaml": (
+        "import affectfuse.config\naffectfuse.config.load_config(None, {})", ["numpy", "yaml"]
+    ),
+    "cli_read_commands_without_numpy_or_yaml": (_READ_COMMANDS_WITHOUT_CONFIG, ["numpy", "yaml"]),
 }
 
 

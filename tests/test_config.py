@@ -113,6 +113,28 @@ def test_threshold_validation_names_label():
     assert "guardrails.thresholds.fear" in str(err.value)
 
 
+def test_threshold_keys_resolve_spanish_aliases_to_their_label(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text("guardrails:\n  thresholds:\n    miedo: 0.5\n    Tristeza: 0.8\n", encoding="utf-8")
+    config = load_config(str(path), environ={})
+    assert config.guardrails.thresholds == {"fear": 0.5, "sadness": 0.8}
+
+
+@pytest.mark.parametrize(
+    "thresholds, named",
+    [
+        ({"feer": 0.7, "miedo": 0.5}, "guardrails.thresholds.feer"),
+        ({"fear": 0.7, "miedo": 0.5}, "guardrails.thresholds.miedo"),
+    ],
+    ids=["unknown_label", "label_twice"],
+)
+def test_a_threshold_key_must_name_one_label_once(thresholds, named):
+    config = PipelineConfig()
+    config.guardrails.thresholds = thresholds
+    with pytest.raises(ConfigError, match=named):
+        validate_config(config)
+
+
 def test_invalid_yaml_names_the_file(tmp_path):
     path = tmp_path / "app.yaml"
     path.write_text("audio: [alpha_ema: 0.5\n", encoding="utf-8")
