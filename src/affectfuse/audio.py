@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR, DEFAULT_SNR_BLOCK
+from .config import DEFAULT_ALPHA, DEFAULT_NORM_FACTOR
 from .core import EmotionResult, VadState, clamp
 
 TARGET_SAMPLE_RATE = 16000
@@ -163,7 +163,11 @@ def count_zero_crossings(samples: np.ndarray) -> int:
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
-def compute_snr_db(buffer: AudioBuffer, block_size: int = DEFAULT_SNR_BLOCK) -> float:
+#: Samples per block of the SNR estimate.
+SNR_BLOCK_SIZE = 512
+
+
+def compute_snr_db(buffer: AudioBuffer, block_size: int = SNR_BLOCK_SIZE) -> float:
     """Estimate SNR in dB from block energies.
 
     The buffer is split into consecutive blocks of ``block_size`` samples; a
@@ -299,7 +303,7 @@ def extract_acoustic_features(
     buffer: AudioBuffer,
     norm_factor: float = DEFAULT_NORM_FACTOR,
     use_mfcc: bool = True,
-    snr_block_size: int = DEFAULT_SNR_BLOCK,
+    snr_block_size: int = SNR_BLOCK_SIZE,
 ) -> AcousticFeatures:
     """Compute per-turn acoustic features (smoothing not yet applied).
 
@@ -326,10 +330,14 @@ def extract_acoustic_features(
     )
 
 
+#: Audio-channel valence before the timbre adjustment.
+BASE_VALENCE = 0.0
+
+
 def derive_audio_vad(
     features: AcousticFeatures,
     smoother: ArousalSmoother,
-    base_valence: float = 0.0,
+    base_valence: float = BASE_VALENCE,
 ) -> Tuple[VadState, AcousticFeatures]:
     """Combine features into a VAD estimate, smoothing arousal across turns.
 
@@ -362,16 +370,14 @@ def audio_emotion(
     smoother: ArousalSmoother,
     norm_factor: float = DEFAULT_NORM_FACTOR,
     use_mfcc: bool = True,
-    snr_block_size: int = DEFAULT_SNR_BLOCK,
-    base_valence: float = 0.0,
 ) -> EmotionResult:
     """Full audio backend: features -> VAD -> prototype distribution.
 
     Confidence scales with signal quality: 0.5 + 0.5 * min(1, snr_db / 30).
     All feature fields are exposed in the result metadata.
     """
-    features = extract_acoustic_features(buffer, norm_factor, use_mfcc, snr_block_size)
-    vad, features = derive_audio_vad(features, smoother, base_valence)
+    features = extract_acoustic_features(buffer, norm_factor, use_mfcc)
+    vad, features = derive_audio_vad(features, smoother)
     probs = va_prototype_distribution(vad.valence, vad.arousal)
     confidence = 0.5 + 0.5 * min(1.0, features.snr_db / 30.0)
     return EmotionResult(

@@ -19,11 +19,11 @@ from .audit.canonical import compute_txid, parse_canonical
 from .audit.ledger import VERDICT_VERIFIED, AnchorError, verify_anchorage
 from .audit.log import read_event_line
 from .config import ConfigError, load_config, open_ledger
-from .metrics import MetricsRegistry, MetricsServer, export_metrics
 
 # The commands that run inference import numpy through the pipeline,
-# evaluate, corpus and fuzzy modules, so each imports them when it runs:
-# verify and anchor-status then load the standard library only (and PyYAML for --config).
+# evaluate, corpus and fuzzy modules, and the metrics module, so each imports
+# them when it runs: verify and anchor-status then load the standard library
+# only (and PyYAML for --config).
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -97,6 +97,7 @@ def _read_event(args) -> bytes:
 
 
 def _cmd_analyze(args, config) -> int:
+    from .metrics import export_metrics
     from .pipeline import Pipeline, TurnInput
 
     with Pipeline(config) as pipeline:
@@ -125,6 +126,7 @@ def _cmd_analyze(args, config) -> int:
 
 def _cmd_batch_eval(args, config) -> int:
     from .evaluate import VARIANTS, run_batch_eval
+    from .metrics import MetricsRegistry, export_metrics
 
     variants = VARIANTS if args.variants is None else [v for v in args.variants.split(",") if v]
     ablations = [a for a in args.ablations.split(",") if a]
@@ -202,6 +204,7 @@ def _cmd_anchor_status(args, config) -> int:
 
 def _cmd_metrics_serve(args, config) -> int:
     from .evaluate import run_batch_eval
+    from .metrics import MetricsRegistry, MetricsServer
 
     registry = MetricsRegistry(config.model_size, config.run_id)
     port = args.port if args.port is not None else config.metrics.port

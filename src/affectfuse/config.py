@@ -22,19 +22,13 @@ from .audit.ledger import (
 
 ENV_PREFIX = "APP__"
 
-# Defaults of the audio, text, fusion and guardrails modules. They live here,
-# and those modules import them, so that loading a configuration (as the
-# verify and anchor-status commands do) loads neither numpy nor PyYAML.
+# Defaults of the settings that the audio, text and guardrails modules read.
+# They live here, and those modules import them, so that loading a
+# configuration (as the verify and anchor-status commands do) loads neither
+# numpy nor PyYAML.
 DEFAULT_NORM_FACTOR = 0.2
 DEFAULT_ALPHA = 0.3
-DEFAULT_SNR_BLOCK = 512
-DEFAULT_SNR_LOW_DB = 5.0
-DEFAULT_SNR_MID_DB = 12.0
-DEFAULT_SNR_LOW_FACTOR = 0.6
-DEFAULT_SNR_MID_FACTOR = 0.85
 DEFAULT_THRESHOLDS: Dict[str, float] = {"fear": 0.7, "sadness": 0.85}
-HEDGE_PROBABILITY = 0.5
-HEDGE_COHERENCE = 0.4
 DEFAULT_NEGATION_MARKERS: Tuple[str, ...] = ("no", "nunca", "jamás", "sin", "tampoco")
 
 #: Multipliers applied to the content token following the intensifier.
@@ -60,8 +54,6 @@ class AudioConfig:
     alpha_ema: float = DEFAULT_ALPHA
     norm_factor: float = DEFAULT_NORM_FACTOR
     use_mfcc: bool = True
-    snr_block_size: int = DEFAULT_SNR_BLOCK
-    base_valence: float = 0.0
 
 
 @dataclass
@@ -75,10 +67,6 @@ class TextConfig:
 @dataclass
 class FusionConfig:
     rule_base_path: Optional[str] = None
-    snr_low_db: float = DEFAULT_SNR_LOW_DB
-    snr_mid_db: float = DEFAULT_SNR_MID_DB
-    snr_low_factor: float = DEFAULT_SNR_LOW_FACTOR
-    snr_mid_factor: float = DEFAULT_SNR_MID_FACTOR
 
 
 @dataclass
@@ -87,8 +75,6 @@ class GuardrailConfig:
     keywords_path: Optional[str] = None
     templates_path: Optional[str] = None
     escalation_webhook: Optional[str] = None
-    hedge_probability: float = HEDGE_PROBABILITY
-    hedge_coherence: float = HEDGE_COHERENCE
 
 
 @dataclass
@@ -172,7 +158,10 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
         return _number(raw, key_path)
     if isinstance(default, list):
         if isinstance(raw, (list, tuple)):
-            return [str(v) for v in raw]
+            for item in raw:
+                if not isinstance(item, str):  # a bare `no` in YAML is false, not "no"
+                    raise ConfigError(f"{key_path}: expected strings, got {item!r}")
+            return list(raw)
         return [part.strip() for part in str(raw).split(",") if part.strip()]
     if isinstance(default, dict):
         if not isinstance(raw, Mapping):
@@ -268,13 +257,6 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
 
     _check_range(config.audio.alpha_ema, 0.0, 1.0, "audio.alpha_ema", open_lo=True)
     _check_range(config.audio.norm_factor, 0.0, 1e6, "audio.norm_factor", open_lo=True)
-    if config.audio.snr_block_size < 1:
-        raise ConfigError("audio.snr_block_size: must be >= 1")
-    _check_range(config.audio.base_valence, -1.0, 1.0, "audio.base_valence")
-    _check_range(config.fusion.snr_low_factor, 0.0, 1.0, "fusion.snr_low_factor", open_lo=True)
-    _check_range(config.fusion.snr_mid_factor, 0.0, 1.0, "fusion.snr_mid_factor", open_lo=True)
-    if not 0.0 <= config.fusion.snr_low_db <= config.fusion.snr_mid_db:
-        raise ConfigError("fusion.snr_low_db: SNR bands must satisfy 0 <= low <= mid")
     thresholds: Dict[str, float] = {}  # keyed by canonical label, so each can fire
     for key, limit in config.guardrails.thresholds.items():
         try:
@@ -286,8 +268,6 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
         _check_range(limit, 0.0, 1.0, f"guardrails.thresholds.{key}", open_lo=True)
         thresholds[label] = limit
     config.guardrails.thresholds = thresholds
-    _check_range(config.guardrails.hedge_probability, 0.0, 1.0, "guardrails.hedge_probability")
-    _check_range(config.guardrails.hedge_coherence, 0.0, 1.0, "guardrails.hedge_coherence")
     if config.anchoring.block_interval <= 0:
         raise ConfigError("anchoring.block_interval: must be > 0")
     if config.anchoring.max_block_entries < 1:

@@ -13,12 +13,6 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from .config import (
-    DEFAULT_SNR_LOW_DB,
-    DEFAULT_SNR_LOW_FACTOR,
-    DEFAULT_SNR_MID_DB,
-    DEFAULT_SNR_MID_FACTOR,
-)
 from .core import LABELS, EmotionResult, VadState, clamp
 from .fuzzy import FuzzyTrace, RuleBase, ZeroActivation, infer_w_text
 
@@ -45,21 +39,21 @@ class FusionOutcome:
     trace: Optional[FuzzyTrace] = None
 
 
-def adjust_asr_confidence(
-    asr_conf: float,
-    snr_db: float,
-    snr_low_db: float = DEFAULT_SNR_LOW_DB,
-    snr_mid_db: float = DEFAULT_SNR_MID_DB,
-    low_factor: float = DEFAULT_SNR_LOW_FACTOR,
-    mid_factor: float = DEFAULT_SNR_MID_FACTOR,
-) -> float:
+#: SNR bands (dB) of the ASR confidence penalty and the factor applied in each.
+SNR_LOW_DB = 5.0
+SNR_MID_DB = 12.0
+SNR_LOW_FACTOR = 0.6
+SNR_MID_FACTOR = 0.85
+
+
+def adjust_asr_confidence(asr_conf: float, snr_db: float) -> float:
     """Penalize ASR confidence under low (< 5 dB) or moderate (5-12 dB) SNR."""
     if not 0.0 <= asr_conf <= 1.0:
         raise ValueError(f"asr_conf must be in [0, 1], got {asr_conf}")
-    if snr_db < snr_low_db:
-        return asr_conf * low_factor
-    if snr_db < snr_mid_db:
-        return asr_conf * mid_factor
+    if snr_db < SNR_LOW_DB:
+        return asr_conf * SNR_LOW_FACTOR
+    if snr_db < SNR_MID_DB:
+        return asr_conf * SNR_MID_FACTOR
     return asr_conf
 
 

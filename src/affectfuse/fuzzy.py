@@ -77,12 +77,10 @@ class LinguisticVariable:
     def __post_init__(self) -> None:
         lo, hi = self.domain
         if not lo < hi:
-            raise InvalidRuleBase(f"variable {self.name!r}: empty domain {self.domain}")
+            raise InvalidRuleBase(f"empty domain {self.domain}")
         for label, mf in self.sets.items():
             if mf.a < lo or mf.d > hi:
-                raise InvalidRuleBase(
-                    f"variable {self.name!r}: set {label!r} support outside domain"
-                )
+                raise InvalidRuleBase(f"set {label!r} support outside domain")
 
     def clamp_input(self, x: float) -> float:
         return clamp(float(x), self.domain[0], self.domain[1])
@@ -309,14 +307,22 @@ def parse_rule_base(mapping: Mapping[str, object], origin: str = "<rule base>") 
         rules_raw = mapping.get("rules", [])
     except (KeyError, TypeError) as exc:
         raise InvalidRuleBase(f"{origin}: missing section {exc}") from exc
+    if not (isinstance(variables_raw, Mapping) and isinstance(output_raw, Mapping)
+            and isinstance(rules_raw, list)):
+        raise InvalidRuleBase(f"{origin}: variables and output must be mappings, rules a list")
 
     def build_variable(name: str, body: Mapping[str, object]) -> LinguisticVariable:
-        domain = tuple(float(v) for v in body["domain"])
-        sets = {
-            str(label): MembershipFunction(*(float(p) for p in points))
-            for label, points in body["sets"].items()
-        }
-        return LinguisticVariable(name=name, domain=domain, sets=sets)
+        try:
+            domain = tuple(float(v) for v in body["domain"])
+            sets = {
+                str(label): MembershipFunction(*(float(p) for p in points))
+                for label, points in body["sets"].items()
+            }
+            return LinguisticVariable(name=name, domain=domain, sets=sets)
+        except KeyError as exc:
+            raise InvalidRuleBase(f"{origin}: variable {name!r}: missing {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:  # InvalidRuleBase is a ValueError
+            raise InvalidRuleBase(f"{origin}: variable {name!r}: {exc}") from exc
 
     variables = {str(name): build_variable(str(name), body) for name, body in variables_raw.items()}
     for required in _INPUT_VARIABLES:
@@ -336,16 +342,16 @@ def parse_rule_base(mapping: Mapping[str, object], origin: str = "<rule base>") 
         try:
             conditions = tuple(_parse_condition(str(c)) for c in rule["if"])
             _, consequent = _parse_condition(str(rule["then"]))
+            rules.append(FuzzyRule(antecedents=conditions, consequent=consequent))
+        except InvalidRuleBase as exc:
+            raise InvalidRuleBase(f"{origin}: rule {index}: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise InvalidRuleBase(f"{origin}: rule {index} is malformed") from exc
-        rules.append(FuzzyRule(antecedents=conditions, consequent=consequent))
 
-    return RuleBase(
-        rule_base_id=base_id,
-        variables=variables,
-        output=output,
-        rules=tuple(rules),
-    )
+    try:
+        return RuleBase(rule_base_id=base_id, variables=variables, output=output, rules=tuple(rules))
+    except InvalidRuleBase as exc:
+        raise InvalidRuleBase(f"{origin}: {exc}") from exc
 
 
 def load_rule_base(path: Optional[str] = None, builtin: str = "default") -> RuleBase:

@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .config import DEFAULT_THRESHOLDS, HEDGE_COHERENCE, HEDGE_PROBABILITY, ConfigError
+from .config import DEFAULT_THRESHOLDS, ConfigError
 from .core import _strip_accents, data_lines, dominant_emotion, read_data_file
 from .fusion import FusionOutcome
 
@@ -166,13 +166,12 @@ def notify_escalation(
     return STATUS_FAILED
 
 
-def plan_response(
-    fused: FusionOutcome,
-    escalation: Escalation,
-    templates: Mapping[str, str],
-    hedge_probability: float = HEDGE_PROBABILITY,
-    hedge_coherence: float = HEDGE_COHERENCE,
-) -> str:
+#: Below this dominant probability or this coherence, the hedged variant applies.
+HEDGE_PROBABILITY = 0.5
+HEDGE_COHERENCE = 0.4
+
+
+def plan_response(fused: FusionOutcome, escalation: Escalation, templates: Mapping[str, str]) -> str:
     """Pick the response template for the dominant emotion.
 
     A triggered escalation overrides everything with the safe handoff. The
@@ -183,7 +182,7 @@ def plan_response(
     if escalation.triggered:
         return templates.get("handoff", _FALLBACK_TEMPLATE)
     label, probability = dominant_emotion(fused.probs)
-    variant = "hedged" if (probability < hedge_probability or fused.coherence < hedge_coherence) else "plain"
+    variant = "hedged" if (probability < HEDGE_PROBABILITY or fused.coherence < HEDGE_COHERENCE) else "plain"
     return (
         templates.get(f"{label}.{variant}")
         or templates.get(f"{label}.plain")

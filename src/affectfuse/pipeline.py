@@ -102,8 +102,6 @@ def run_channels(
             smoother,
             norm_factor=config.audio.norm_factor,
             use_mfcc=config.audio.use_mfcc,
-            snr_block_size=config.audio.snr_block_size,
-            base_valence=config.audio.base_valence,
         )
     with timed("text_emotion"):
         text_result = text_mod.text_emotion(
@@ -201,14 +199,7 @@ class Pipeline:
 
         snr_db = float(audio_result.metadata["snr_db"])
         with self._timed("fusion"):
-            adjusted = adjust_asr_confidence(
-                asr_conf,
-                snr_db,
-                snr_low_db=cfg.fusion.snr_low_db,
-                snr_mid_db=cfg.fusion.snr_mid_db,
-                low_factor=cfg.fusion.snr_low_factor,
-                mid_factor=cfg.fusion.snr_mid_factor,
-            )
+            adjusted = adjust_asr_confidence(asr_conf, snr_db)
             outcome = fuse(text_result, audio_result, adjusted, self.rule_base)
 
         with self._timed("guardrails"):
@@ -219,13 +210,7 @@ class Pipeline:
                 keywords=self.keywords,
                 timestamp=timestamp,
             )
-            response = plan_response(
-                outcome,
-                escalation,
-                self.templates,
-                hedge_probability=cfg.guardrails.hedge_probability,
-                hedge_coherence=cfg.guardrails.hedge_coherence,
-            )
+            response = plan_response(outcome, escalation, self.templates)
 
         with self._timed("audit"):
             redacted, report = redact_pii({"transcript": transcript, "response": response})

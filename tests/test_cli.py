@@ -126,6 +126,17 @@ def test_a_bad_config_file_is_a_config_error_not_a_traceback(tmp_path, capsys, t
     assert "Traceback" not in err
 
 
+EMPTY_RULE_BASE = """
+id: empty
+variables:
+  asr_conf: {domain: [0, 1], sets: {low: [0, 0, 0.3, 0.5]}}
+  arousal: {domain: [0, 1], sets: {low: [0, 0, 0.2, 0.4]}}
+  valence: {domain: [-1, 1], sets: {neu: [-0.25, -0.05, 0.05, 0.25]}}
+output: {name: w_text, domain: [0, 1], sets: {mid: [0, 0.5, 0.5, 1]}}
+rules: []
+"""
+
+
 @pytest.mark.parametrize(
     "section, key, name, text",
     [
@@ -135,8 +146,22 @@ def test_a_bad_config_file_is_a_config_error_not_a_traceback(tmp_path, capsys, t
         ("text", "lexicon_path", "lexicon.tsv", "feliz\talegria\tmucho\t0.4\n"),
         ("text", "lemmas_path", "lemmas.tsv", "feliz\n"),
         ("guardrails", "templates_path", "templates.txt", "handoff\n"),
+        *(
+            ("fusion", "rule_base_path", "rules.yaml", EMPTY_RULE_BASE.replace(old, new, 1))
+            for old, new in [
+                ("domain: [0, 1]", "domain: [abc, 1]"),
+                ("[0, 0, 0.3, 0.5]", "[0, 0, x, 0.5]"),
+                ("rules: []", 'rules: [{if: ["asr_conf is nosuch"], then: "w_text is mid"}]'),
+                ("[0, 0, 0.3, 0.5]", "[0, 0.4, 0.3, 0.5]"),
+                ("rules: []", "rules: 5"),
+            ]
+        ),
     ],
-    ids=["rule_base_yaml", "rule_base_section", "lexicon_columns", "lexicon_weight", "lemmas", "templates"],
+    ids=[
+        "rule_base_yaml", "rule_base_section", "lexicon_columns", "lexicon_weight", "lemmas", "templates",
+        "rule_base_domain_not_a_number", "rule_base_set_point_not_a_number", "rule_base_unknown_set",
+        "rule_base_points_out_of_order", "rule_base_rules_not_a_list",
+    ],
 )
 def test_a_bad_data_file_is_a_config_error_naming_the_file(workspace, capsys, section, key, name, text):
     tmp_path, config, wav = workspace
@@ -247,6 +272,7 @@ FOOTPRINT = {
         "import affectfuse.config\naffectfuse.config.load_config(None, {})", ["numpy", "yaml"]
     ),
     "cli_read_commands_without_numpy_or_yaml": (_READ_COMMANDS_WITHOUT_CONFIG, ["numpy", "yaml"]),
+    "cli_read_commands_without_metrics": (_READ_COMMANDS, ["affectfuse.metrics"]),
 }
 
 
@@ -306,17 +332,6 @@ def test_metrics_serve_smoke(workspace, capsys, tmp_path):
     assert "pipeline_stage_latency_seconds" in text
     thread.join(timeout=6.0)
     assert holder.get("code") == EXIT_OK
-
-
-EMPTY_RULE_BASE = """
-id: empty
-variables:
-  asr_conf: {domain: [0, 1], sets: {low: [0, 0, 0.3, 0.5]}}
-  arousal: {domain: [0, 1], sets: {low: [0, 0, 0.2, 0.4]}}
-  valence: {domain: [-1, 1], sets: {neu: [-0.25, -0.05, 0.05, 0.25]}}
-output: {name: w_text, domain: [0, 1], sets: {mid: [0, 0.5, 0.5, 1]}}
-rules: []
-"""
 
 
 def with_rule_base(config: str, rule_base_text: str, name: str) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,55 @@ def test_range_normalized_coherence_is_not_a_key(tmp_path):
     path.write_text(yaml.safe_dump({"fusion": {"range_normalized_coherence": True}}), encoding="utf-8")
     with pytest.raises(ConfigError, match="fusion.range_normalized_coherence"):
         load_config(str(path), environ={})
+
+
+# Model constants that were settings once; each is set to its old default.
+FORMER_KEYS = [
+    ("audio", "snr_block_size", 512),
+    ("audio", "base_valence", 0.0),
+    ("fusion", "snr_low_db", 5.0),
+    ("fusion", "snr_mid_db", 12.0),
+    ("fusion", "snr_low_factor", 0.6),
+    ("fusion", "snr_mid_factor", 0.85),
+    ("guardrails", "hedge_probability", 0.5),
+    ("guardrails", "hedge_coherence", 0.4),
+]
+
+
+@pytest.mark.parametrize("section, key, value", FORMER_KEYS, ids=[k for _, k, _ in FORMER_KEYS])
+def test_a_model_constant_is_not_a_key(tmp_path, section, key, value):
+    named = f"unknown configuration key {section}.{key}"
+    path = tmp_path / "app.yaml"
+    path.write_text(yaml.safe_dump({section: {key: value}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=named):
+        load_config(str(path), environ={})
+    with pytest.raises(ConfigError, match=named):
+        load_config(environ={f"APP__{section.upper()}__{key.upper()}": str(value)})
+
+
+def _settings(config):
+    """(key path, value) of every settable field, sections walked in order."""
+    for section in dataclasses.fields(config):
+        value = getattr(config, section.name)
+        if dataclasses.is_dataclass(value):
+            for item in dataclasses.fields(value):
+                yield f"{section.name}.{item.name}", getattr(value, item.name)
+        else:
+            yield section.name, value
+
+
+def test_the_configuration_has_23_settings():
+    assert len(list(_settings(PipelineConfig()))) == 23
+
+
+def test_the_example_config_loads_and_keeps_every_default():
+    example = Path(__file__).resolve().parents[1] / "config.example.yaml"
+    loaded = dict(_settings(load_config(str(example), {})))
+    defaults = dict(_settings(PipelineConfig()))
+    assert loaded.keys() == defaults.keys()
+    for key, value in defaults.items():
+        if not key.endswith(("_path", "_dir")):  # paths resolve against the file's directory
+            assert loaded[key] == value, key
 
 
 def test_unknown_env_key_rejected():
@@ -146,6 +196,13 @@ def test_non_numeric_threshold_names_its_key_path(tmp_path):
     path = tmp_path / "app.yaml"
     path.write_text("guardrails:\n  thresholds:\n    fear: abc\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="guardrails.thresholds.fear: expected a number, got 'abc'"):
+        load_config(str(path), environ={})
+
+
+def test_a_bare_yaml_no_in_a_list_of_words_names_its_key_path(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text("text:\n  negation_markers: [no, nunca]\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="text.negation_markers: expected strings, got False"):
         load_config(str(path), environ={})
 
 

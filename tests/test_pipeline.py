@@ -10,6 +10,7 @@ from affectfuse import pipeline as pipeline_mod
 from affectfuse.audit import AuditWriteError, compute_txid, parse_canonical, read_event_line
 from affectfuse.audit import artifacts as artifacts_mod
 from affectfuse.audit.artifacts import export_explainability_artifact
+from affectfuse.config import load_config
 from affectfuse.corpus import generate_synthetic_corpus
 from affectfuse.evaluate import load_manifest
 from affectfuse.metrics import MetricsRegistry
@@ -175,6 +176,42 @@ def test_escalation_block_in_same_turn(tmp_path, wav_path, pinned_clock):
     assert result.response == pipeline.templates["handoff"]
     latency = pipeline.metrics.histogram("pipeline_stage_latency_seconds")
     assert latency.count(stage="escalation") == 1
+
+
+def keyword_reasons(event):
+    return [r for r in event.get("escalation", {}).get("reasons", []) if r.startswith("keyword:")]
+
+
+@pytest.mark.parametrize(
+    "setting, transcript, read, default, configured",
+    [
+        (
+            "text:\n  negation_markers: [jamás]\n", "no estoy feliz",
+            lambda event: event["text"]["negations_detected"], 1, 0,
+        ),
+        (
+            "text:\n  intensifiers: {muy: 3.0}\n", "hoy estoy muy feliz",
+            lambda event: event["text"]["intensifiers_applied"], "muy:1.5", "muy:3",
+        ),
+        (
+            "guardrails:\n  keywords_path: keywords.txt\n", "miro el cielo azul",
+            keyword_reasons, [], ["keyword:cielo azul"],
+        ),
+    ],
+    ids=["negation_markers", "intensifiers", "keywords_path"],
+)
+def test_a_configured_setting_changes_the_turn(tmp_path, wav_path, setting, transcript, read, default, configured):
+    (tmp_path / "keywords.txt").write_text("cielo azul\n", encoding="utf-8")
+    events = []
+    for name, extra in (("default", ""), ("configured", setting)):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(
+            f"audit:\n  log_path: {name}/events.jsonl\nanchoring:\n  enabled: false\n{extra}",
+            encoding="utf-8",
+        )
+        with Pipeline(load_config(str(path), environ={})) as pipeline:
+            events.append(pipeline.run_turn(turn(wav_path, transcript=transcript)).event)
+    assert [read(event) for event in events] == [default, configured]
 
 
 def test_transcript_redacted_before_hashing(tmp_path, wav_path, pinned_clock):
