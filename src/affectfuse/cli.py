@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 from .audit.canonical import compute_txid, parse_canonical
-from .audit.ledger import VERDICT_VERIFIED, AnchorError, verify_anchorage
+from .audit.ledger import VERDICT_UNAVAILABLE, VERDICT_VERIFIED, AnchorError, verify_anchorage
 from .audit.log import read_event_line
 from .config import ConfigError, load_config, open_ledger
 
@@ -169,11 +170,13 @@ def _cmd_gen_corpus(args, _config) -> int:
 # close() seals the pending queue, and blocks appended by a second process
 # behind the owning pipeline's back would fork the chain.
 def _cmd_verify(args, config) -> int:
+    event_bytes = _read_event(args)
     try:
-        ledger = open_ledger(config)
-    except AnchorError:
-        ledger = None  # the verdict is "unavailable"
-    verdict = verify_anchorage(_read_event(args), args.txid, ledger)
+        verdict = verify_anchorage(event_bytes, args.txid, open_ledger(config))
+    except AnchorError as exc:  # the ledger would not open; a digest mismatch still answers first
+        verdict = verify_anchorage(event_bytes, args.txid, None)
+        if verdict.kind == VERDICT_UNAVAILABLE:
+            verdict = replace(verdict, detail=f"cannot open the ledger: {exc}")
     print(json.dumps(verdict.as_dict(), indent=2))
     return EXIT_OK if verdict.kind == VERDICT_VERIFIED else EXIT_VERIFY
 

@@ -1,8 +1,10 @@
 """Declarative pipeline configuration: YAML file plus environment overrides.
 
 Any key can be overridden with APP__<SECTION>__<KEY> (top-level keys use a
-single segment, e.g. APP__RUN_ID). Values are coerced to the type of the
-default they replace. Validation errors always name the offending key path.
+single segment, e.g. APP__RUN_ID), and one entry of a mapping setting with
+APP__<SECTION>__<KEY>__<ENTRY>. Values are coerced to the type of the
+setting's default; null unsets only a setting whose default is unset.
+Validation errors always name the offending key path.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -129,33 +132,32 @@ class PipelineConfig:
 
 _SECTIONS = ("audio", "text", "fusion", "guardrails", "audit", "anchoring", "metrics")
 
-
-def _number(raw: Any, key_path: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key_path}: expected a number, got {raw!r}") from exc
+#: Settings that name a file: relative ones in a config file resolve against
+#: the file's directory. The input files must exist.
+_INPUT_FILES = ("text.lexicon_path", "text.lemmas_path", "fusion.rule_base_path",
+                "guardrails.keywords_path", "guardrails.templates_path")
+_PATHS = (*_INPUT_FILES, "audit.log_path", "audit.artifacts_dir",
+          "anchoring.ledger_path", "anchoring.pending_path")
 
 
 def _coerce(raw: Any, default: Any, key_path: str) -> Any:
+    if raw is None:  # YAML null
+        if default is None:
+            return None
+        raise ConfigError(f"{key_path}: cannot be null; only an optional setting can be unset")
     if default is None or isinstance(default, str):
         return str(raw)
     if isinstance(default, bool):
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key_path}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
+        text = str(raw).strip().lower()  # str(True) is "True"
+        if text not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ConfigError(f"{key_path}: expected a boolean, got {raw!r}")
+        return text in ("1", "true", "yes", "on")
+    if isinstance(default, (int, float)):
         try:
-            return int(raw)
+            return type(default)(raw)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key_path}: expected an integer, got {raw!r}") from exc
-    if isinstance(default, float):
-        return _number(raw, key_path)
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ConfigError(f"{key_path}: expected {kind}, got {raw!r}") from exc
     if isinstance(default, list):
         if isinstance(raw, (list, tuple)):
             for item in raw:
@@ -166,18 +168,31 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
     if isinstance(default, dict):
         if not isinstance(raw, Mapping):
             raise ConfigError(f"{key_path}: expected a mapping")
-        return {str(k): _number(v, f"{key_path}.{k}") for k, v in raw.items()}
+        return {str(k): _coerce(v, 0.0, f"{key_path}.{k}") for k, v in raw.items()}
     raise ConfigError(f"{key_path}: unsupported value type")
 
 
-def _apply_mapping(section: Any, values: Mapping[str, Any], prefix: str) -> None:
-    valid = {f.name for f in dataclasses.fields(section)}
-    for key, raw in values.items():
-        key = str(key)
-        if key not in valid:
-            raise ConfigError(f"unknown configuration key {prefix}{key}")
-        default = getattr(section, key)
-        setattr(section, key, _coerce(raw, default, f"{prefix}{key}"))
+def _set(config: PipelineConfig, key_path: str, raw: Any, source: str = "") -> None:
+    """Set one setting from a raw value, coerced by the setting's declared default.
+
+    ``key_path`` is a top-level key (``run_id``), a section key
+    (``audio.alpha_ema``) or one entry of a mapping setting
+    (``guardrails.thresholds.fear``). ``source`` follows the key path in the
+    unknown-key error, naming the variable the value came from.
+    """
+    name, *rest = key_path.split(".")
+    owner: Any = config
+    if rest and name in _SECTIONS:
+        owner = getattr(config, name)
+        name, *rest = rest
+    default = getattr(type(owner)(), name, None)
+    known = {f.name for f in dataclasses.fields(owner)} - set(_SECTIONS)
+    if name not in known or len(rest) > (1 if isinstance(default, dict) else 0):
+        raise ConfigError(f"unknown configuration key {key_path}{source}")
+    if rest:
+        getattr(owner, name)[rest[0]] = _coerce(raw, 0.0, key_path)
+    else:
+        setattr(owner, name, _coerce(raw, default, key_path))
 
 
 def _apply_file(config: PipelineConfig, path: str) -> None:
@@ -190,54 +205,26 @@ def _apply_file(config: PipelineConfig, path: str) -> None:
     data = load_yaml(text, path) or {}
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
-    base = Path(path).resolve().parent
     for key, value in data.items():
-        key = str(key)
-        if key in _SECTIONS:
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"{key}: expected a mapping of settings")
-            _apply_mapping(getattr(config, key), value, f"{key}.")
-        elif key in ("model_size", "run_id"):
-            setattr(config, key, str(value))
+        if key not in _SECTIONS:
+            _set(config, str(key), value)
+        elif not isinstance(value, Mapping):
+            raise ConfigError(f"{key}: expected a mapping of settings")
         else:
-            raise ConfigError(f"unknown configuration key {key}")
-    _resolve_paths(config, base)
-
-
-def _resolve_paths(config: PipelineConfig, base: Path) -> None:
-    # Relative paths in a config file resolve against the file's directory.
-    def resolve(value: Optional[str]) -> Optional[str]:
-        if value is None:
-            return None
-        path = Path(value)
-        return str(path if path.is_absolute() else base / path)
-
-    config.text.lexicon_path = resolve(config.text.lexicon_path)
-    config.text.lemmas_path = resolve(config.text.lemmas_path)
-    config.fusion.rule_base_path = resolve(config.fusion.rule_base_path)
-    config.guardrails.keywords_path = resolve(config.guardrails.keywords_path)
-    config.guardrails.templates_path = resolve(config.guardrails.templates_path)
-    config.audit.log_path = resolve(config.audit.log_path)
-    config.audit.artifacts_dir = resolve(config.audit.artifacts_dir)
-    config.anchoring.ledger_path = resolve(config.anchoring.ledger_path)
-    config.anchoring.pending_path = resolve(config.anchoring.pending_path)
+            for name, raw in value.items():
+                _set(config, f"{key}.{name}", raw)
+    base = Path(path).resolve().parent
+    for key_path in _PATHS:
+        value = attrgetter(key_path)(config)
+        if value is not None:  # an absolute path replaces the base
+            _set(config, key_path, str(base / value))
 
 
 def _apply_environment(config: PipelineConfig, environ: Mapping[str, str]) -> None:
     for name in sorted(environ):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        segments = name[len(ENV_PREFIX):].lower().split("__")
-        raw = environ[name]
-        if len(segments) == 1:
-            key = segments[0]
-            if key not in ("model_size", "run_id"):
-                raise ConfigError(f"unknown configuration key {key} (from {name})")
-            setattr(config, key, raw)
-        elif len(segments) == 2 and segments[0] in _SECTIONS:
-            _apply_mapping(getattr(config, segments[0]), {segments[1]: raw}, f"{segments[0]}.")
-        else:
-            raise ConfigError(f"cannot map environment variable {name} to a configuration key")
+        if name.startswith(ENV_PREFIX):
+            key_path = ".".join(name[len(ENV_PREFIX):].lower().split("__"))
+            _set(config, key_path, environ[name], f" (from {name})")
 
 
 def _check_range(value: float, lo: float, hi: float, key: str, *, open_lo: bool = False) -> None:
@@ -245,11 +232,6 @@ def _check_range(value: float, lo: float, hi: float, key: str, *, open_lo: bool 
     if not ok:
         bounds = f"({lo}, {hi}]" if open_lo else f"[{lo}, {hi}]"
         raise ConfigError(f"{key}: value {value} outside {bounds}")
-
-
-def _check_file(path: Optional[str], key: str) -> None:
-    if path is not None and not Path(path).is_file():
-        raise ConfigError(f"{key}: file not found: {path}")
 
 
 def validate_config(config: PipelineConfig) -> PipelineConfig:
@@ -277,11 +259,10 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     for mult_key, mult in config.text.intensifiers.items():
         if mult <= 0:
             raise ConfigError(f"text.intensifiers.{mult_key}: multiplier must be > 0")
-    _check_file(config.text.lexicon_path, "text.lexicon_path")
-    _check_file(config.text.lemmas_path, "text.lemmas_path")
-    _check_file(config.fusion.rule_base_path, "fusion.rule_base_path")
-    _check_file(config.guardrails.keywords_path, "guardrails.keywords_path")
-    _check_file(config.guardrails.templates_path, "guardrails.templates_path")
+    for key_path in _INPUT_FILES:
+        path = attrgetter(key_path)(config)
+        if path is not None and not Path(path).is_file():
+            raise ConfigError(f"{key_path}: file not found: {path}")
     return config
 
 

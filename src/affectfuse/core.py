@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 import math
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import unicodedata
@@ -51,6 +50,8 @@ def read_data_file(path: Optional[str], bundled: str) -> Tuple[str, str]:
     ``bundled`` is read. ``origin`` names the file in error messages.
     """
     if path is None:
+        from importlib import resources  # here, so that loading a configuration does not import it
+
         return resources.files("affectfuse.data").joinpath(bundled).read_text(encoding="utf-8"), bundled
     with open(path, encoding="utf-8") as handle:
         return handle.read(), str(path)

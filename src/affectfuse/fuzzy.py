@@ -340,6 +340,8 @@ def parse_rule_base(mapping: Mapping[str, object], origin: str = "<rule base>") 
     rules = []
     for index, rule in enumerate(rules_raw, start=1):
         try:
+            if not isinstance(rule["if"], list):  # a string would be read character by character
+                raise InvalidRuleBase("'if' must be a list of conditions")
             conditions = tuple(_parse_condition(str(c)) for c in rule["if"])
             _, consequent = _parse_condition(str(rule["then"]))
             rules.append(FuzzyRule(antecedents=conditions, consequent=consequent))

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from affectfuse.audit import AuditLog, SimulatedLedger, canonicalize
 from affectfuse.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERIFY, main
 
-from conftest import run_python, sine_buffer, write_wav
+from conftest import SRC, run_python, sine_buffer, write_wav
 
 
 @pytest.fixture
@@ -154,13 +157,14 @@ rules: []
                 ("rules: []", 'rules: [{if: ["asr_conf is nosuch"], then: "w_text is mid"}]'),
                 ("[0, 0, 0.3, 0.5]", "[0, 0.4, 0.3, 0.5]"),
                 ("rules: []", "rules: 5"),
+                ("rules: []", 'rules: [{if: "asr_conf is low", then: "w_text is mid"}]'),
             ]
         ),
     ],
     ids=[
         "rule_base_yaml", "rule_base_section", "lexicon_columns", "lexicon_weight", "lemmas", "templates",
         "rule_base_domain_not_a_number", "rule_base_set_point_not_a_number", "rule_base_unknown_set",
-        "rule_base_points_out_of_order", "rule_base_rules_not_a_list",
+        "rule_base_points_out_of_order", "rule_base_rules_not_a_list", "rule_base_if_not_a_list",
     ],
 )
 def test_a_bad_data_file_is_a_config_error_naming_the_file(workspace, capsys, section, key, name, text):
@@ -227,6 +231,25 @@ def test_verify_refuses_a_txid_whose_block_no_longer_hashes(workspace, capsys, t
     assert verdict["block_number"] == 0
 
 
+def test_verify_says_why_the_ledger_would_not_open(workspace, capsys, tmp_path):
+    _, config, _ = workspace
+    event = tmp_path / "event.json"
+    event.write_bytes(b'{"x":1}')
+    txid = hashlib.sha256(b'{"x":1}').hexdigest()
+    audit = tmp_path / "audit"
+    with SimulatedLedger(str(audit / "ledger.json"), str(audit / "pending.json")) as ledger:
+        ledger.submit(txid)  # sealed into block 0 on close
+    with (audit / "pending.json").open("a", encoding="utf-8") as handle:
+        handle.write("not-a-txid\n")
+    assert main(["--config", config, "verify", "--event", str(event), "--txid", txid]) == EXIT_VERIFY
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "unavailable"
+    assert "pending.json" in verdict["detail"] and "'not-a-txid'" in verdict["detail"]
+    event.write_bytes(b'{"x":2}')  # a digest mismatch still answers first
+    assert main(["--config", config, "verify", "--event", str(event), "--txid", txid]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["verdict"] == "tamper_detected"
+
+
 def test_read_commands_leave_a_queued_ledger_untouched(workspace, capsys, tmp_path):
     _, config, _ = workspace
     event = tmp_path / "event.json"
@@ -291,6 +314,27 @@ def test_import_footprint(workspace, tmp_path, case):
         f"print(sorted(set({modules!r}) & set(sys.modules)))",
         config, str(event), txid,
     )
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_loading_a_configuration_and_verifying_leave_importlib_resources_unloaded(tmp_path):
+    # Without site (-S), which may load importlib.resources itself before the program starts.
+    event = tmp_path / "event.json"
+    event.write_bytes(b'{"x":1}')
+    txid = hashlib.sha256(b'{"x":1}').hexdigest()
+    with SimulatedLedger(str(tmp_path / "audit" / "ledger.json"), str(tmp_path / "audit" / "pending.json")) as ledger:
+        ledger.submit(txid)
+    program = (
+        "import os, sys\nbefore = set(sys.modules)\nos.chdir(sys.argv[1])\n"
+        "from affectfuse.config import load_config\nload_config(None, {})\n"
+        "from affectfuse.cli import main\n"
+        "assert main(['verify', '--event', sys.argv[2], '--txid', sys.argv[3]]) == 0\n"
+        "print(sorted({'importlib.resources'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", program, str(tmp_path), str(event), txid],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout
     assert out.splitlines()[-1] == "[]"
 
 

@@ -114,6 +114,81 @@ def test_the_example_config_loads_and_keeps_every_default():
             assert loaded[key] == value, key
 
 
+@pytest.mark.parametrize("with_file", [False, True], ids=["over_defaults", "over_file"])
+def test_an_environment_variable_sets_one_entry_of_a_mapping(tmp_path, with_file):
+    path = None
+    if with_file:
+        path = tmp_path / "app.yaml"
+        path.write_text("guardrails:\n  thresholds: {fear: 0.5}\ntext:\n  intensifiers: {algo: 0.9}\n", encoding="utf-8")
+    environ = {"APP__GUARDRAILS__THRESHOLDS__FEAR": "0.6", "APP__TEXT__INTENSIFIERS__MUY": "2"}
+    config = load_config(path and str(path), environ)
+    if with_file:  # the file's mapping replaced the default one
+        assert config.guardrails.thresholds == {"fear": 0.6}
+        assert config.text.intensifiers == {"algo": 0.9, "muy": 2.0}
+    else:
+        assert config.guardrails.thresholds == {"fear": 0.6, "sadness": 0.85}
+        assert config.text.intensifiers == {**PipelineConfig().text.intensifiers, "muy": 2.0}
+
+
+def test_a_second_threshold_from_the_environment_names_its_key():
+    with pytest.raises(ConfigError, match="guardrails.thresholds.miedo: a second threshold for fear"):
+        load_config(environ={"APP__GUARDRAILS__THRESHOLDS__MIEDO": "0.5"})
+
+
+OPTIONAL_KEYS = [
+    ("guardrails", "escalation_webhook"),
+    ("text", "lexicon_path"),
+    ("text", "lemmas_path"),
+    ("fusion", "rule_base_path"),
+    ("guardrails", "keywords_path"),
+    ("guardrails", "templates_path"),
+]
+
+
+@pytest.mark.parametrize("section, key", OPTIONAL_KEYS, ids=[k for _, k in OPTIONAL_KEYS])
+def test_yaml_null_unsets_an_optional_setting(tmp_path, section, key):
+    path = tmp_path / "app.yaml"
+    path.write_text(f"{section}:\n  {key}: null\n", encoding="utf-8")
+    assert getattr(getattr(load_config(str(path), {}), section), key) is None
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("text:\n  negation_markers: null\n", "text.negation_markers"),
+        ("run_id: null\n", "run_id"),
+        ("audit:\n  log_path: null\n", "audit.log_path"),
+        ("audio:\n  alpha_ema: null\n", "audio.alpha_ema"),
+    ],
+    ids=["negation_markers", "run_id", "log_path", "alpha_ema"],
+)
+def test_yaml_null_is_refused_where_the_default_is_set(tmp_path, text, named):
+    path = tmp_path / "app.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{named}: cannot be null"):
+        load_config(str(path), {})
+
+
+UNKNOWN_KEY_PATHS = [
+    "nosuch", "audio.nosuch", "fusion.snr_low_db", "metrics.alpha_ema", "audio.alpha_ema.x",
+    "guardrails.thresholds.fear.x",
+]
+
+
+@pytest.mark.parametrize("key_path", UNKNOWN_KEY_PATHS)
+def test_the_file_and_the_environment_reject_the_same_unknown_key_paths(tmp_path, key_path):
+    section, _, rest = key_path.partition(".")
+    path = tmp_path / "app.yaml"
+    path.write_text(yaml.safe_dump({section: {rest: "1"}} if rest else {section: "1"}), encoding="utf-8")
+    with pytest.raises(ConfigError) as from_file:
+        load_config(str(path), {})
+    assert str(from_file.value) == f"unknown configuration key {key_path}"
+    name = "APP__" + key_path.upper().replace(".", "__")
+    with pytest.raises(ConfigError) as from_environment:
+        load_config(None, {name: "1"})
+    assert str(from_environment.value) == f"unknown configuration key {key_path} (from {name})"
+
+
 def test_unknown_env_key_rejected():
     with pytest.raises(ConfigError):
         load_config(environ={"APP__AUDIO__NOSUCH": "1"})

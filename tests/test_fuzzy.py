@@ -277,6 +277,15 @@ def test_input_variable_without_an_input_rejected_at_load():
         parse_rule_base(mapping)
 
 
+def test_an_if_written_as_one_string_is_refused_naming_the_mistake():
+    from affectfuse.core import load_yaml, read_data_file
+
+    mapping = load_yaml(read_data_file(None, "rules_trace.yaml")[0])
+    mapping["rules"][0]["if"] = "asr_conf is low"
+    with pytest.raises(InvalidRuleBase, match="^rules.yaml: rule 1: 'if' must be a list of conditions$"):
+        parse_rule_base(mapping, "rules.yaml")
+
+
 def test_rule_without_antecedents_rejected():
     with pytest.raises(InvalidRuleBase):
         FuzzyRule(antecedents=(), consequent="mid")
