@@ -345,10 +345,7 @@ def verify_anchorage(
         )
     if ledger is None:
         return Verdict(kind=VERDICT_UNAVAILABLE, detail="no ledger available")
-    try:
-        found = ledger.lookup(claimed_txid)
-    except AnchorError as exc:
-        return Verdict(kind=VERDICT_UNAVAILABLE, detail=str(exc))
+    found = ledger.lookup(claimed_txid)
     if found is None:
         return Verdict(kind=VERDICT_NOT_ANCHORED, detail="digest matches but txid is not anchored")
     block_number, tx_hash, sender, broken = found

@@ -45,9 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--metrics-dump", default=None, help="write exposition text here")
     analyze.set_defaults(run=_cmd_analyze)
 
-    batch = commands.add_parser("batch-eval", help="evaluate variants over a manifest")
+    batch = commands.add_parser("batch-eval", help="evaluate variants over a manifest as audited turns")
     batch.add_argument("--manifest", required=True)
-    batch.add_argument("--out", required=True, help="report output directory")
+    batch.add_argument("--out", required=True, help="report directory; the audit log goes to <out>/audit/")
     batch.add_argument("--variants", default=None, help="comma-separated (default: all)")
     batch.add_argument("--ablations", default="")
     batch.add_argument("--metrics-dump", default=None)

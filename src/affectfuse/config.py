@@ -146,6 +146,8 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
             return None
         raise ConfigError(f"{key_path}: cannot be null; only an optional setting can be unset")
     if default is None or isinstance(default, str):
+        if isinstance(raw, (bool, list, Mapping)):  # str() would store "True" or "['a']"
+            raise ConfigError(f"{key_path}: expected a string, got {raw!r}")
         return str(raw)
     if isinstance(default, bool):
         text = str(raw).strip().lower()  # str(True) is "True"
@@ -153,12 +155,18 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
             raise ConfigError(f"{key_path}: expected a boolean, got {raw!r}")
         return text in ("1", "true", "yes", "on")
     if isinstance(default, (int, float)):
+        kind = "an integer" if isinstance(default, int) else "a number"
+        fractional = isinstance(raw, float) and not raw.is_integer()
+        if isinstance(raw, bool) or (fractional and isinstance(default, int)):
+            # float(True) would store 1.0 and int(2.7) would store 2
+            raise ConfigError(f"{key_path}: expected {kind}, got {raw!r}")
         try:
             return type(default)(raw)
         except (TypeError, ValueError) as exc:
-            kind = "an integer" if isinstance(default, int) else "a number"
             raise ConfigError(f"{key_path}: expected {kind}, got {raw!r}") from exc
     if isinstance(default, list):
+        if isinstance(raw, (bool, Mapping)):  # str(True).split(",") would store ["True"]
+            raise ConfigError(f"{key_path}: expected a list of strings, got {raw!r}")
         if isinstance(raw, (list, tuple)):
             for item in raw:
                 if not isinstance(item, str):  # a bare `no` in YAML is false, not "no"

@@ -1,33 +1,30 @@
 """Batch evaluation over a JSONL manifest.
 
-Variants: fuzzy runs the full pipeline (including auditing). Every other
-variant and ablation is one weighted mix of the same channel outputs,
-``w_text * p_text + (1 - w_text) * p_audio``, with w_text 1 for text_only
-and no_audio, 0 for audio_only and no_text, 0.5 for fixed_weight, and the
-row's manifest ASR confidence for linear and no_gating. Each row computes
-its channels once: every variant reads the fuzzy turn's channel outputs,
-or, when fuzzy is not requested, those of ``pipeline.run_channels``. The
-report carries per-class and macro/weighted precision/recall/F1, accuracy,
-class-normalized confusion matrices, and a disagreement analysis counting
-rows where the fuzzy variant is correct and a baseline is wrong.
+Every evaluated row is one audited ``Pipeline.run_turn`` in its own
+session, whichever variants are requested. The fuzzy variant is that turn's
+fused estimate. Every other variant and ablation is one weighted mix of the
+turn's channel outputs, ``w_text * p_text + (1 - w_text) * p_audio``, with
+w_text 1 for text_only and no_audio, 0 for audio_only and no_text, 0.5 for
+fixed_weight, and the row's manifest ASR confidence for linear and
+no_gating. The report carries per-class and macro/weighted
+precision/recall/F1, accuracy, class-normalized confusion matrices, and,
+when fuzzy is requested, a disagreement analysis counting rows where the
+fuzzy variant is correct and a baseline is wrong.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from . import audio as audio_mod
-from . import text as text_mod
 from .config import PipelineConfig
 from .core import LABELS, canonical_label, dominant_emotion
 from .fusion import fuse_distributions
 from .metrics import MetricsRegistry
-from .pipeline import Clock, Pipeline, TurnInput, run_channels
+from .pipeline import Clock, Pipeline, TurnInput
 
 VARIANTS = ("text_only", "audio_only", "linear", "fuzzy")
 ABLATIONS = ("no_text", "no_audio", "no_gating", "fixed_weight")
@@ -54,7 +51,7 @@ def load_manifest(path: str) -> List[ManifestRow]:
     Relative audio paths resolve against the manifest directory; Spanish
     label aliases are accepted. Row ids must be unique: batch evaluation
     gives each row its own pipeline session. A row whose asr_confidence is
-    outside [0, 1] is rejected here, before any row is evaluated.
+    a boolean or outside [0, 1] is rejected here, before any row is evaluated.
     """
     base = Path(path).resolve().parent
     rows: List[ManifestRow] = []
@@ -69,6 +66,8 @@ def load_manifest(path: str) -> List[ManifestRow]:
                 audio_path = Path(raw["audio"])
                 if not audio_path.is_absolute():
                     audio_path = base / audio_path
+                if isinstance(raw["asr_confidence"], bool):  # float(True) is 1.0
+                    raise TypeError(f"asr_confidence must be a number, got {raw['asr_confidence']}")
                 confidence = float(raw["asr_confidence"])
                 if not 0.0 <= confidence <= 1.0:  # also rejects NaN
                     raise ValueError(f"asr_confidence must be in [0, 1], got {confidence}")
@@ -162,9 +161,11 @@ def run_batch_eval(
 ) -> Dict[str, object]:
     """Evaluate every requested variant over the manifest.
 
-    The fuzzy variant runs the full pipeline with one session per row, so
-    rows stay independent of each other. Rows whose audio file is missing are
-    skipped and counted.
+    Each row runs as one audited pipeline turn with the row id as its
+    session, so rows stay independent of each other. With ``out_dir`` the
+    audit log and ledger files land in ``<out_dir>/audit/``; otherwise they
+    go where ``config`` says. Rows whose audio file is missing are skipped
+    and counted.
     """
     for name in variants:
         if name not in VARIANTS:
@@ -177,58 +178,42 @@ def run_batch_eval(
     if not rows:
         raise ValueError(f"manifest {manifest_path} is empty")
 
-    pipeline: Optional[Pipeline] = None
-    if "fuzzy" in variants:
-        pipeline_config = config
-        if out_dir is not None:
-            # Keep the evaluation self-contained: audit output lands in out_dir.
-            pipeline_config = copy.deepcopy(config)
-            pipeline_config.audit.log_path = str(Path(out_dir) / "audit" / "events.jsonl")
-            pipeline_config.anchoring.ledger_path = str(Path(out_dir) / "audit" / "ledger.json")
-            pipeline_config.anchoring.pending_path = str(Path(out_dir) / "audit" / "pending.json")
-        pipeline = Pipeline(pipeline_config, clock=clock, metrics=metrics)
-    else:
-        lexicon = text_mod.load_lexicon(config.text.lexicon_path)
-        lemmas = text_mod.load_lemma_dictionary(config.text.lemmas_path)
+    pipeline_config = config
+    if out_dir is not None:
+        # Keep the evaluation self-contained: audit output lands in out_dir.
+        pipeline_config = copy.deepcopy(config)
+        pipeline_config.audit.log_path = str(Path(out_dir) / "audit" / "events.jsonl")
+        pipeline_config.anchoring.ledger_path = str(Path(out_dir) / "audit" / "ledger.json")
+        pipeline_config.anchoring.pending_path = str(Path(out_dir) / "audit" / "pending.json")
 
     row_records: List[Dict[str, object]] = []
     skipped: List[str] = []
 
-    try:
+    with Pipeline(pipeline_config, clock=clock, metrics=metrics) as pipeline:
         for row in rows:
             if not Path(row.audio).is_file():
                 skipped.append(row.row_id)
                 continue
-            turn = TurnInput(
-                audio_path=row.audio,
-                transcript=row.transcript,
-                asr_confidence=row.asr_confidence,
-                session_id=row.row_id,
-            )
-            # Row ids are unique, so each fuzzy turn opens a fresh session
-            # whose smoother passes the raw arousal through, exactly like the
-            # fresh smoother of the channel-only path.
-            record: Dict[str, object] = {"id": row.row_id, "gold": row.label}
-            if pipeline is not None:
-                result = pipeline.run_turn(turn)
-                audio_result, text_result = result.audio, result.text
-                record["fuzzy"] = str(result.event["final"]["dominant"])
-            else:
-                smoother = audio_mod.ArousalSmoother(alpha=config.audio.alpha_ema)
-                audio_result, text_result = run_channels(
-                    turn, config, smoother, lexicon, lemmas, lambda _stage: nullcontext()
+            # Row ids are unique, so each turn opens a fresh session whose
+            # smoother passes the raw arousal through.
+            result = pipeline.run_turn(
+                TurnInput(
+                    audio_path=row.audio,
+                    transcript=row.transcript,
+                    asr_confidence=row.asr_confidence,
+                    session_id=row.row_id,
                 )
-
+            )
+            record: Dict[str, object] = {"id": row.row_id, "gold": row.label}
+            if "fuzzy" in variants:
+                record["fuzzy"] = str(result.event["final"]["dominant"])
             for name in (*variants, *ablations):
                 if name != "fuzzy":
                     w_text = _MIX_WEIGHT[name]
                     w_text = row.asr_confidence if w_text is None else w_text
-                    mixed = fuse_distributions(text_result.probs, audio_result.probs, w_text)
+                    mixed = fuse_distributions(result.text.probs, result.audio.probs, w_text)
                     record[name] = dominant_emotion(mixed)[0]
             row_records.append(record)
-    finally:
-        if pipeline is not None:
-            pipeline.close()
 
     golds = [record["gold"] for record in row_records]
 

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import audio as audio_mod
 from . import text as text_mod
@@ -78,40 +78,6 @@ class TurnResult:
     anchor: AnchorRecord
     audio: EmotionResult
     text: EmotionResult
-
-
-def run_channels(
-    turn: TurnInput,
-    config: PipelineConfig,
-    smoother: audio_mod.ArousalSmoother,
-    lexicon: Mapping[str, text_mod.LexiconEntry],
-    lemmas: Mapping[str, str],
-    timed: Callable[[str], ContextManager[None]],
-) -> Tuple[EmotionResult, EmotionResult]:
-    """Decode the turn's WAV and score the audio and the transcript.
-
-    Returns the audio and text results. This is the one channel code path:
-    ``Pipeline`` runs it inside every turn, and batch evaluation runs it
-    directly when no fuzzy turn is requested.
-    """
-    with timed("decode"):
-        buffer = audio_mod.load_wav(turn.audio_path)
-    with timed("audio_emotion"):
-        audio_result = audio_mod.audio_emotion(
-            buffer,
-            smoother,
-            norm_factor=config.audio.norm_factor,
-            use_mfcc=config.audio.use_mfcc,
-        )
-    with timed("text_emotion"):
-        text_result = text_mod.text_emotion(
-            turn.transcript,
-            lexicon=lexicon,
-            lemma_dictionary=lemmas,
-            negation_markers=config.text.negation_markers,
-            intensifiers=config.text.intensifiers,
-        )
-    return audio_result, text_result
 
 
 @dataclass
@@ -193,9 +159,20 @@ class Pipeline:
         event_id = f"{cfg.run_id}/{turn.session_id}/{session.turns:06d}"
 
         transcript, asr_conf = turn.transcript, turn.asr_confidence
-        audio_result, text_result = run_channels(
-            turn, cfg, session.smoother, self.lexicon, self.lemmas, self._timed
-        )
+        with self._timed("decode"):
+            buffer = audio_mod.load_wav(turn.audio_path)
+        with self._timed("audio_emotion"):
+            audio_result = audio_mod.audio_emotion(
+                buffer, session.smoother, norm_factor=cfg.audio.norm_factor, use_mfcc=cfg.audio.use_mfcc
+            )
+        with self._timed("text_emotion"):
+            text_result = text_mod.text_emotion(
+                transcript,
+                lexicon=self.lexicon,
+                lemma_dictionary=self.lemmas,
+                negation_markers=cfg.text.negation_markers,
+                intensifiers=cfg.text.intensifiers,
+            )
 
         snr_db = float(audio_result.metadata["snr_db"])
         with self._timed("fusion"):

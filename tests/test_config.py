@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,46 @@ def test_a_bare_yaml_no_in_a_list_of_words_names_its_key_path(tmp_path):
     path.write_text("text:\n  negation_markers: [no, nunca]\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="text.negation_markers: expected strings, got False"):
         load_config(str(path), environ={})
+
+
+WRONG_KIND = [
+    pytest.param("run_id: [a, b]\n", "run_id: expected a string, got ['a', 'b']", id="list-for-string"),
+    pytest.param("guardrails:\n  escalation_webhook: {x: 1}\n",
+                 "guardrails.escalation_webhook: expected a string, got {'x': 1}", id="mapping-for-url"),
+    pytest.param("run_id: yes\n", "run_id: expected a string, got True", id="bool-for-string"),
+    pytest.param("audio:\n  alpha_ema: true\n", "audio.alpha_ema: expected a number, got True",
+                 id="bool-for-float"),
+    pytest.param("metrics:\n  port: true\n", "metrics.port: expected an integer, got True",
+                 id="bool-for-integer"),
+    pytest.param("anchoring:\n  block_interval: yes\n",
+                 "anchoring.block_interval: expected a number, got True", id="yes-for-float"),
+    pytest.param("guardrails:\n  thresholds: {fear: true}\n",
+                 "guardrails.thresholds.fear: expected a number, got True", id="bool-for-threshold"),
+    pytest.param("anchoring:\n  max_block_entries: 2.7\n",
+                 "anchoring.max_block_entries: expected an integer, got 2.7", id="fraction-for-integer"),
+    pytest.param("text:\n  negation_markers: yes\n",
+                 "text.negation_markers: expected a list of strings, got True", id="bool-for-word-list"),
+]
+
+
+@pytest.mark.parametrize("text, message", WRONG_KIND)
+def test_a_value_of_the_wrong_kind_names_its_key_path(tmp_path, text, message):
+    path = tmp_path / "app.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path), environ={})
+
+
+def test_a_whole_float_for_an_integer_and_a_number_for_a_string_still_load(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text(
+        "model_size: 3\naudio:\n  norm_factor: 2\nanchoring:\n  max_block_entries: 3.0\n",
+        encoding="utf-8",
+    )
+    config = load_config(str(path), environ={})
+    assert config.model_size == "3"
+    assert config.audio.norm_factor == 2.0 and isinstance(config.audio.norm_factor, float)
+    assert config.anchoring.max_block_entries == 3
 
 
 def test_block_interval_validated():

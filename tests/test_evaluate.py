@@ -16,6 +16,8 @@ from affectfuse.evaluate import (
     load_manifest,
     run_batch_eval,
 )
+from affectfuse.metrics import MetricsRegistry
+from affectfuse.pipeline import Pipeline
 
 from conftest import make_test_config
 
@@ -205,6 +207,17 @@ def test_out_of_range_asr_confidence_names_its_line(tmp_path, confidence):
         load_manifest(str(path))
 
 
+def test_boolean_asr_confidence_names_its_line(tmp_path):
+    row = {"id": "r1", "audio": "x.wav", "transcript": "t", "asr_confidence": 0.5, "label": "joy"}
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        json.dumps(row) + "\n" + json.dumps({**row, "id": "r2", "asr_confidence": True}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"m\.jsonl:2: bad manifest row: asr_confidence must be a number, got True"):
+        load_manifest(str(path))
+
+
 def test_no_gating_reuses_linear(tmp_path, small_corpus, pinned_clock):
     report = run_batch_eval(
         str(small_corpus),
@@ -276,3 +289,44 @@ def test_report_digest_pinned(tmp_path, small_corpus, pinned_clock):
     del report["manifest"]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == SMALL_CORPUS_REPORT_SHA256
+
+
+def test_baselines_alone_score_as_in_an_all_variants_report(tmp_path, small_corpus, pinned_clock):
+    variants, ablations = ("text_only", "linear"), ("no_gating",)
+    alone = run_batch_eval(
+        str(small_corpus), make_test_config(tmp_path / "alone"), variants, ablations,
+        out_dir=str(tmp_path / "alone-out"), clock=pinned_clock,
+    )
+    everything = run_batch_eval(
+        str(small_corpus), make_test_config(tmp_path / "all"), VARIANTS, ABLATIONS,
+        out_dir=str(tmp_path / "all-out"), clock=pinned_clock,
+    )
+    assert alone["variants"] == {name: everything["variants"][name] for name in variants}
+    assert alone["ablations"] == {name: everything["ablations"][name] for name in ablations}
+    keys = ("id", "gold", *variants, *ablations)
+    assert alone["predictions"] == [{key: row[key] for key in keys} for row in everything["predictions"]]
+    assert "fuzzy" not in alone["predictions"][0] and "disagreements" not in alone
+
+
+def test_an_evaluation_without_fuzzy_audits_every_row(tmp_path, small_corpus, pinned_clock,
+                                                       monkeypatch):
+    txids = []
+    run_turn = Pipeline.run_turn
+
+    def recording(self, turn):
+        result = run_turn(self, turn)
+        txids.append(result.txid)
+        return result
+
+    monkeypatch.setattr(Pipeline, "run_turn", recording)
+    registry = MetricsRegistry()
+    out = tmp_path / "out"
+    report = run_batch_eval(
+        str(small_corpus), make_test_config(tmp_path), ("text_only", "linear"), ("no_gating",),
+        out_dir=str(out), clock=pinned_clock, metrics=registry,
+    )
+    lines = (out / "audit" / "events.jsonl").read_bytes().splitlines()
+    assert len(lines) == len(txids) == report["rows"] == 24
+    assert [hashlib.sha256(line).hexdigest() for line in lines] == txids
+    latency = registry.histogram("pipeline_stage_latency_seconds")
+    assert latency.count(stage="decode") == report["rows"]
