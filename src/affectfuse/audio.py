@@ -1,6 +1,8 @@
 """Acoustic features and the heuristic audio emotion backend.
 
-Input is 16 kHz mono audio in [-1, 1]. Energy (RMS) drives arousal, the
+Input is 16 kHz mono audio in [-1, 1]: ``load_wav`` resamples every file to
+16 kHz, so the rate is fixed at the file boundary and the MFCC frame, window
+and mel filterbank are constants. Energy (RMS) drives arousal, the
 zero-crossing rate refines it, an optional MFCC timbre score nudges valence
 and arousal, and a block-energy SNR estimate feeds downstream confidence
 gating:
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,9 +40,11 @@ VA_PROTOTYPES: Dict[str, Tuple[float, float]] = {
 }
 PROTOTYPE_TAU = 0.15
 
-# MFCC timbre parameters: 25 ms frames, 10 ms hop, 26 mel filters, 13 coeffs.
-_FRAME_SECONDS = 0.025
-_HOP_SECONDS = 0.010
+# MFCC timbre parameters at 16 kHz: 25 ms frames of 400 samples, a 10 ms hop
+# of 160, a 512-point FFT, 26 mel filters, 13 coeffs.
+_FRAME = 400
+_HOP = 160
+_N_FFT = 512
 _N_FILTERS = 26
 _TIMBRE_SCALE = 20.0
 # Frames per FFT block: the windowed frames pass through one reused buffer.
@@ -79,10 +82,13 @@ class NaNAudio(ValueError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio at 16 kHz with samples clamped to [-1, 1]; NaN is rejected."""
+    """Mono audio with samples clamped to [-1, 1]; NaN is rejected.
+
+    The rate is TARGET_SAMPLE_RATE (16 kHz) by definition: ``load_wav``
+    resamples every file to it, and nothing here reads another rate.
+    """
 
     samples: np.ndarray
-    sample_rate: int = TARGET_SAMPLE_RATE
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -92,14 +98,13 @@ class AudioBuffer:
         if math.isnan(samples.min()):  # min propagates NaN
             raise NaNAudio("audio buffer contains NaN samples")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self) -> int:
         return int(self.samples.size)
 
     @property
     def duration(self) -> float:
-        return self.samples.size / float(self.sample_rate)
+        return self.samples.size / float(TARGET_SAMPLE_RATE)
 
 
 @dataclass(frozen=True)
@@ -204,35 +209,27 @@ def _block_energies(blocks: np.ndarray) -> np.ndarray:
     return np.mean(np.square(blocks), axis=1)
 
 
-def _mel(freq_hz: np.ndarray) -> np.ndarray:
-    return 2595.0 * np.log10(1.0 + freq_hz / 700.0)
-
-
-def _mel_inv(mels: np.ndarray) -> np.ndarray:
-    return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
-
-
-@lru_cache(maxsize=8)
-def _hamming_window(frame: int) -> np.ndarray:
-    window = np.hamming(frame)
-    window.setflags(write=False)
-    return window
-
-
-@lru_cache(maxsize=8)
-def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters; cached per shape and rate, and read-only."""
-    points = _mel_inv(np.linspace(0.0, _mel(np.array(sample_rate / 2.0)), n_filters + 2))
-    bins = np.floor((n_fft + 1) * points / sample_rate).astype(int)
-    bank = np.zeros((n_filters, n_fft // 2 + 1))
-    for i in range(n_filters):
+def _mel_filterbank() -> np.ndarray:
+    """Triangular mel filters over the FFT bins of one 16 kHz frame."""
+    mel_top = 2595.0 * np.log10(1.0 + np.array(TARGET_SAMPLE_RATE / 2.0) / 700.0)
+    points = 700.0 * (10.0 ** (np.linspace(0.0, mel_top, _N_FILTERS + 2) / 2595.0) - 1.0)
+    bins = np.floor((_N_FFT + 1) * points / TARGET_SAMPLE_RATE).astype(int)
+    bank = np.zeros((_N_FILTERS, _N_FFT // 2 + 1))
+    for i in range(_N_FILTERS):
         left, center, right = bins[i], bins[i + 1], bins[i + 2]
         if center > left:
             bank[i, left:center] = (np.arange(left, center) - left) / (center - left)
         if right > center:
             bank[i, center:right] = (right - np.arange(center, right)) / (right - center)
-    bank.setflags(write=False)
     return bank
+
+
+#: The Hamming window and mel filterbank of the one frame geometry, built once
+#: at import and read-only, so no caller can change them for later turns.
+_HAMMING_WINDOW = np.hamming(_FRAME)
+_MEL_FILTERBANK = _mel_filterbank()
+_HAMMING_WINDOW.setflags(write=False)
+_MEL_FILTERBANK.setflags(write=False)
 
 
 def mfcc_dct(log_mel: np.ndarray) -> np.ndarray:
@@ -266,7 +263,7 @@ def mfcc_dct(log_mel: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def mfcc_timbre_score(samples: np.ndarray, sample_rate: int) -> Optional[float]:
+def mfcc_timbre_score(samples: np.ndarray) -> Optional[float]:
     """Timbre score in [0, 1] from frame-averaged MFCC magnitudes.
 
     Mean absolute value of coefficients 2..13 (26-filter mel bank, 25 ms
@@ -274,25 +271,21 @@ def mfcc_timbre_score(samples: np.ndarray, sample_rate: int) -> Optional[float]:
     no full frame fits or the buffer carries no energy (timbre is undefined
     for silence).
     """
-    frame = int(round(_FRAME_SECONDS * sample_rate))
-    hop = int(round(_HOP_SECONDS * sample_rate))
-    if samples.size < frame or not np.any(samples):
+    if samples.size < _FRAME or not np.any(samples):
         return None
-    windows = np.lib.stride_tricks.sliding_window_view(samples, frame)[::hop]
-    n_fft = 1 << (frame - 1).bit_length()
-    window = _hamming_window(frame)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, _FRAME)[::_HOP]
     n_frames = windows.shape[0]
-    block = np.zeros((min(_FFT_BLOCK_FRAMES, n_frames), n_fft))  # zero-padded tail stays 0
-    power = np.empty((n_frames, n_fft // 2 + 1))
+    block = np.zeros((min(_FFT_BLOCK_FRAMES, n_frames), _N_FFT))  # zero-padded tail stays 0
+    power = np.empty((n_frames, _N_FFT // 2 + 1))
     for start in range(0, n_frames, _FFT_BLOCK_FRAMES):
         rows = windows[start : start + _FFT_BLOCK_FRAMES]
         count = rows.shape[0]
-        np.multiply(rows, window, out=block[:count, :frame])
+        np.multiply(rows, _HAMMING_WINDOW, out=block[:count, :_FRAME])
         np.abs(np.fft.rfft(block[:count]), out=power[start : start + count])
     np.square(power, out=power)
     # One product over all frames: OpenBLAS picks its kernel by row count,
     # so a blockwise product would change the last bits.
-    log_energy = power @ _mel_filterbank(_N_FILTERS, n_fft, sample_rate).T
+    log_energy = power @ _MEL_FILTERBANK.T
     np.maximum(log_energy, 1e-12, out=log_energy)
     np.log(log_energy, out=log_energy)
     magnitude = float(np.mean(np.abs(mfcc_dct(log_energy))))
@@ -316,7 +309,7 @@ def extract_acoustic_features(
     zcr_raw = count_zero_crossings(samples) / samples.size
     zcr_norm = min(1.0, 10.0 * zcr_raw)
     snr_db = compute_snr_db(buffer, snr_block_size)
-    timbre = mfcc_timbre_score(samples, buffer.sample_rate) if use_mfcc else None
+    timbre = mfcc_timbre_score(samples) if use_mfcc else None
     mfcc_present = timbre is not None
     return AcousticFeatures(
         rms=rms,
@@ -512,4 +505,4 @@ def load_wav(path: str) -> AudioBuffer:
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     samples = resample_linear(samples, int(rate), TARGET_SAMPLE_RATE)
-    return AudioBuffer(samples=samples, sample_rate=TARGET_SAMPLE_RATE)
+    return AudioBuffer(samples=samples)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import re
 import threading
 import time
@@ -46,6 +47,8 @@ _TXID_RE = re.compile(r"^[0-9a-f]{64}$")
 _BLOCK_PREFIX = b'{"block_hash":"'
 _CONTENT_AT = len(_BLOCK_PREFIX) + 64 + 2
 _TORN_TXID_RE = re.compile(rb"[0-9a-f]{0,64}")
+
+log = logging.getLogger(__name__)
 
 
 class AnchorError(RuntimeError):
@@ -274,7 +277,12 @@ class SimulatedLedger:
                 pending = len(self._pending)
             due = (time.monotonic() - last_seal) >= self.block_interval
             if pending >= self.max_block_entries or (pending > 0 and due):
-                self.seal_pending()
+                try:
+                    self.seal_pending()
+                except (OSError, AnchorError):
+                    # The ledger changes only after the block is appended, so the batch stays queued.
+                    log.warning("sealing into %s failed; retrying", self.ledger_path, exc_info=True)
+                    self._stop.wait(self.block_interval)
                 last_seal = time.monotonic()
 
     @property

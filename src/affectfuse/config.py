@@ -156,12 +156,20 @@ def _coerce(raw: Any, default: Any, key_path: str) -> Any:
         return text in ("1", "true", "yes", "on")
     if isinstance(default, (int, float)):
         kind = "an integer" if isinstance(default, int) else "a number"
-        fractional = isinstance(raw, float) and not raw.is_integer()
-        if isinstance(raw, bool) or (fractional and isinstance(default, int)):
+        value = raw
+        if isinstance(default, int) and isinstance(raw, str):
+            for parse in (int, float):  # "3.0" and "1e3" read as numbers, then checked as YAML's are
+                try:
+                    value = parse(raw)
+                    break
+                except ValueError:
+                    pass
+        fractional = isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or (fractional and isinstance(default, int)):
             # float(True) would store 1.0 and int(2.7) would store 2
             raise ConfigError(f"{key_path}: expected {kind}, got {raw!r}")
         try:
-            return type(default)(raw)
+            return type(default)(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key_path}: expected {kind}, got {raw!r}") from exc
     if isinstance(default, list):

@@ -132,10 +132,7 @@ def _synthesize_audio(
         if index in on_chunks:
             start = index * chunk
             envelope[start : start + chunk] = 1.0
-    duty = float(envelope.mean())
-    if duty == 0.0:
-        envelope[:] = 1.0
-        duty = 1.0
+    duty = float(envelope.mean())  # > 0: n_on >= 1 and every chunk starts inside the buffer
 
     t = np.arange(n) / TARGET_SAMPLE_RATE
     carrier = _CARRIER_HZ[label] * (1.0 + float(rng.uniform(-0.05, 0.05)))

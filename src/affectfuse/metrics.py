@@ -44,11 +44,17 @@ class _Metric:
         self.base_labels = dict(base_labels)
         self._lock = threading.Lock()
         self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
+        self._keys: Dict[Tuple[Tuple[str, str], ...], Tuple[Tuple[str, str], ...]] = {}
 
     def _merge(self, labels: Mapping[str, str]) -> Tuple[Tuple[str, str], ...]:
-        merged = dict(self.base_labels)
-        merged.update({k: str(v) for k, v in labels.items()})
-        return tuple(sorted(merged.items()))
+        """The row key of a label set, merged with the base labels; built once per set."""
+        given = tuple(labels.items())
+        key = self._keys.get(given)
+        if key is None:
+            merged = dict(self.base_labels)
+            merged.update({k: str(v) for k, v in given})
+            key = self._keys[given] = tuple(sorted(merged.items()))
+        return key
 
     def render(self) -> List[str]:
         with self._lock:
@@ -85,10 +91,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[self._merge(labels)] = float(value)
 
-    def value(self, **labels: str) -> Optional[float]:
-        with self._lock:
-            return self._values.get(self._merge(labels))
-
 
 class Histogram(_Metric):
     """Cumulative DEFAULT_BUCKETS counts, sum and count per label set.
@@ -101,19 +103,8 @@ class Histogram(_Metric):
     kind = "histogram"
     buckets = DEFAULT_BUCKETS
 
-    def series(self, **labels: str) -> Tuple[Tuple[str, str], ...]:
-        """The key of one label set, merged with the base labels.
-
-        A caller that observes the same label set on every call resolves its
-        key once and passes it to ``observe_series``.
-        """
-        return self._merge(labels)
-
     def observe(self, value: float, **labels: str) -> None:
-        self.observe_series(self._merge(labels), value)
-
-    def observe_series(self, key: Tuple[Tuple[str, str], ...], value: float) -> None:
-        """``observe`` for a key from ``series``."""
+        key = self._merge(labels)
         index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             row = self._values.get(key)

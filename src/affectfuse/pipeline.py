@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from . import audio as audio_mod
 from . import text as text_mod
@@ -118,7 +118,6 @@ class Pipeline:
         self._latency = self.metrics.histogram(
             "pipeline_stage_latency_seconds", "Per-stage latency in seconds"
         )
-        self._stage_series: Dict[str, Tuple[Tuple[str, str], ...]] = {}
         self._errors = self.metrics.counter("pipeline_errors_total", "Pipeline errors by stage")
         self._redactions = self.metrics.counter("pii_redactions_total", "PII redactions applied")
         self._snr_gauge = self.metrics.gauge("audio_snr_db", "Estimated SNR of the last turn")
@@ -138,14 +137,11 @@ class Pipeline:
 
     @contextmanager
     def _timed(self, stage: str):
-        key = self._stage_series.get(stage)
-        if key is None:
-            key = self._stage_series.setdefault(stage, self._latency.series(stage=stage))
         start = time.perf_counter()
         try:
             yield
         finally:
-            self._latency.observe_series(key, time.perf_counter() - start)
+            self._latency.observe(time.perf_counter() - start, stage=stage)
 
     def run_turn(self, turn: TurnInput) -> TurnResult:
         session = self._session(turn.session_id)

@@ -50,7 +50,7 @@ def sine_buffer(freq_hz: float, amplitude: float = 0.5, seconds: float = 1.0, ra
     from affectfuse.audio import AudioBuffer
 
     t = np.arange(int(round(seconds * rate))) / rate
-    return AudioBuffer(samples=amplitude * np.sin(2 * np.pi * freq_hz * t), sample_rate=rate)
+    return AudioBuffer(samples=amplitude * np.sin(2 * np.pi * freq_hz * t))
 
 
 def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:

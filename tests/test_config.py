@@ -322,6 +322,28 @@ def test_a_whole_float_for_an_integer_and_a_number_for_a_string_still_load(tmp_p
     assert config.anchoring.max_block_entries == 3
 
 
+@pytest.mark.parametrize("layer", ["file", "environment"])
+@pytest.mark.parametrize("raw, want", [("3.0", 3), ("1e3", 1000), ("2.5", None)])
+def test_an_integer_setting_reads_a_number_alike_from_either_layer(tmp_path, layer, raw, want):
+    path, environ = None, {}
+    if layer == "file":
+        path = tmp_path / "app.yaml"
+        path.write_text(f"anchoring:\n  max_block_entries: {raw}\n", encoding="utf-8")
+    else:
+        environ = {"APP__ANCHORING__MAX_BLOCK_ENTRIES": raw}
+    if want is None:
+        with pytest.raises(ConfigError, match="anchoring.max_block_entries: expected an integer, got"):
+            load_config(path and str(path), environ)
+    else:
+        entries = load_config(path and str(path), environ).anchoring.max_block_entries
+        assert entries == want and type(entries) is int
+
+
+def test_a_word_list_from_the_environment_splits_on_commas():
+    config = load_config(environ={"APP__TEXT__NEGATION_MARKERS": "jamás, nunca"})
+    assert config.text.negation_markers == ["jamás", "nunca"]
+
+
 def test_block_interval_validated():
     config = PipelineConfig()
     config.anchoring.block_interval = 0.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import resource
@@ -315,6 +316,37 @@ def test_auto_seal_background_thread(tmp_path):
                 break
             time.sleep(0.02)
         assert ledger.status(txid_of(1)).status == "anchored"
+
+
+def test_a_failed_seal_is_retried_by_the_seal_thread(tmp_path, caplog):
+    append = ledger_mod.Journal.append
+    failed = []
+
+    def fail_once_for_the_ledger(journal, data):
+        if journal.path.name == "ledger.json" and not failed:
+            failed.append(data)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        append(journal, data)
+
+    with mock.patch.object(ledger_mod.Journal, "append", fail_once_for_the_ledger):
+        with make_ledger(tmp_path, block_interval=0.05, auto_seal=True) as ledger:
+            ledger.submit(txid_of(1))
+            deadline = time.time() + 3.0
+            while time.time() < deadline and ledger.status(txid_of(1)).status != "anchored":
+                time.sleep(0.02)
+            assert failed and ledger.status(txid_of(1)).status == "anchored"
+            assert ledger._thread.is_alive()
+    assert str(ledger.ledger_path) in caplog.text
+
+
+def test_resubmitting_an_anchored_txid_writes_no_pending_line(tmp_path):
+    with make_ledger(tmp_path) as ledger:
+        ledger.submit(txid_of(1))
+        ledger.seal_pending()
+        anchored = ledger.status(txid_of(1))
+        assert ledger.submit(txid_of(1)) == anchored
+        assert anchored.status == "anchored"
+        assert (tmp_path / "pending.json").read_bytes() == b""
 
 
 def test_cost_arithmetic_single_anchor():

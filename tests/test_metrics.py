@@ -49,18 +49,6 @@ def test_histogram_buckets_cumulative():
     assert bucket_line.endswith(" 2")
 
 
-def test_observe_series_renders_as_observe():
-    by_labels, by_key = MetricsRegistry("stub", "k"), MetricsRegistry("stub", "k")
-    hist = by_labels.histogram("pipeline_stage_latency_seconds", "latency")
-    keyed = by_key.histogram("pipeline_stage_latency_seconds", "latency")
-    keys = {stage: keyed.series(stage=stage) for stage in ("fusion", "audit")}
-    for value, stage in [(0.05, "fusion"), (3.0, "audit"), (float("nan"), "fusion"), (0.001, "audit")]:
-        hist.observe(value, stage=stage)
-        keyed.observe_series(keys[stage], value)
-    assert by_key.render() == by_labels.render()
-    assert keyed.count(stage="audit") == 2
-
-
 def test_histogram_text_for_an_edge_an_overflow_and_nan():
     registry = MetricsRegistry("stub", "edge")
     hist = registry.histogram("pipeline_stage_latency_seconds", "Per-stage latency in seconds")

@@ -178,6 +178,17 @@ def test_escalation_block_in_same_turn(tmp_path, wav_path, pinned_clock):
     assert latency.count(stage="escalation") == 1
 
 
+def test_a_failed_escalation_webhook_counts_one_error(tmp_path, wav_path, pinned_clock):
+    config = make_test_config(tmp_path)
+    config.guardrails.thresholds = {"joy": 0.0}  # any joy at all escalates
+    config.guardrails.escalation_webhook = "http://127.0.0.1:1/"  # nothing listens on port 1
+    with Pipeline(config, clock=pinned_clock) as pipeline:
+        result = pipeline.run_turn(turn(wav_path))
+    assert result.event["escalation"]["reasons"] == ["joy>0"]
+    errors = pipeline.metrics.counter("pipeline_errors_total")
+    assert errors.value(stage="escalation_webhook") == 1
+
+
 def keyword_reasons(event):
     return [r for r in event.get("escalation", {}).get("reasons", []) if r.startswith("keyword:")]
 
