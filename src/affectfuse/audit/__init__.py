@@ -7,6 +7,6 @@ own.
 """
 
 from .canonical import canonicalize, compute_txid, parse_canonical
-from .ledger import SimulatedLedger, estimate_anchor_cost, verify_anchorage
+from .ledger import LedgerReader, SimulatedLedger, estimate_anchor_cost, verify_anchorage
 from .log import AuditLog, AuditWriteError, read_event_line
 from .merkle import MerkleBatch, merkle_root, merkle_verify

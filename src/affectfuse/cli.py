@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from .audit.canonical import compute_txid, parse_canonical
-from .audit.ledger import VERDICT_UNAVAILABLE, VERDICT_VERIFIED, AnchorError, verify_anchorage
+from .audit.ledger import VERDICT_UNAVAILABLE, VERDICT_VERIFIED, AnchorError, LedgerReader, verify_anchorage
 from .audit.log import read_event_line
-from .config import ConfigError, load_config, open_ledger
+from .config import ConfigError, load_config
 
 # The commands that run inference import numpy through the pipeline,
 # evaluate, corpus and fuzzy modules, and the metrics module, so each imports
@@ -166,13 +166,12 @@ def _cmd_gen_corpus(args, _config) -> int:
     return EXIT_OK
 
 
-# The read commands (verify, anchor-status) never close the ledger they open:
-# close() seals the pending queue, and blocks appended by a second process
-# behind the owning pipeline's back would fork the chain.
 def _cmd_verify(args, config) -> int:
     event_bytes = _read_event(args)
+    anchoring = config.anchoring
     try:
-        verdict = verify_anchorage(event_bytes, args.txid, open_ledger(config))
+        ledger = LedgerReader(anchoring.ledger_path, anchoring.pending_path)
+        verdict = verify_anchorage(event_bytes, args.txid, ledger)
     except AnchorError as exc:  # the ledger would not open; a digest mismatch still answers first
         verdict = verify_anchorage(event_bytes, args.txid, None)
         if verdict.kind == VERDICT_UNAVAILABLE:
@@ -200,7 +199,8 @@ def _cmd_explain(args, config) -> int:
 
 
 def _cmd_anchor_status(args, config) -> int:
-    record = open_ledger(config).status(args.txid)
+    anchoring = config.anchoring
+    record = LedgerReader(anchoring.ledger_path, anchoring.pending_path).status(args.txid)
     print(json.dumps(record.as_dict(), indent=2))
     return EXIT_OK
 

@@ -14,14 +14,9 @@ import os
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .audit.ledger import (
-    DEFAULT_BLOCK_INTERVAL,
-    DEFAULT_MAX_BLOCK_ENTRIES,
-    DEFAULT_SENDER,
-    SimulatedLedger,
-)
+from .audit.ledger import DEFAULT_BLOCK_INTERVAL, DEFAULT_MAX_BLOCK_ENTRIES, DEFAULT_SENDER
 
 ENV_PREFIX = "APP__"
 
@@ -94,22 +89,6 @@ class AnchoringConfig:
     sender: str = DEFAULT_SENDER
     block_interval: float = DEFAULT_BLOCK_INTERVAL
     max_block_entries: int = DEFAULT_MAX_BLOCK_ENTRIES
-
-
-def open_ledger(
-    config: PipelineConfig, clock: Optional[Callable[[], str]] = None, auto_seal: bool = False
-) -> SimulatedLedger:
-    """The ledger that ``config.anchoring`` describes."""
-    anchoring = config.anchoring
-    return SimulatedLedger(
-        ledger_path=anchoring.ledger_path,
-        pending_path=anchoring.pending_path,
-        sender=anchoring.sender,
-        block_interval=anchoring.block_interval,
-        max_block_entries=anchoring.max_block_entries,
-        clock=clock,
-        auto_seal=auto_seal,
-    )
 
 
 @dataclass

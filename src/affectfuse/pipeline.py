@@ -28,7 +28,7 @@ from .audit.canonical import CANONICAL_VERSION, canonicalize, compute_txid
 from .audit.ledger import AnchorRecord, SimulatedLedger, anchor_txid
 from .audit.log import AuditLog
 from .audit.redact import redact_pii
-from .config import ConfigError, PipelineConfig, open_ledger
+from .config import ConfigError, PipelineConfig
 from .core import EmotionResult, dominant_emotion
 from .fusion import adjust_asr_confidence, fuse
 from .fuzzy import RuleBase, load_rule_base
@@ -110,8 +110,12 @@ class Pipeline:
         self.keywords = load_keywords(config.guardrails.keywords_path)
         self.audit_log = AuditLog(config.audit.log_path)
         self.ledger: Optional[SimulatedLedger] = None
-        if config.anchoring.enabled:
-            self.ledger = open_ledger(config, clock=self.clock, auto_seal=True)
+        anchoring = config.anchoring
+        if anchoring.enabled:
+            self.ledger = SimulatedLedger(
+                anchoring.ledger_path, anchoring.pending_path, anchoring.sender,
+                anchoring.block_interval, anchoring.max_block_entries, self.clock, auto_seal=True,
+            )
         self._sessions: Dict[str, _Session] = {}
         self._sessions_lock = threading.Lock()
 

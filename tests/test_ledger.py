@@ -20,6 +20,7 @@ from affectfuse.audit.canonical import canonicalize, compute_txid
 from affectfuse.audit.ledger import (
     GAS_PER_ANCHOR,
     AnchorError,
+    LedgerReader,
     SimulatedLedger,
     anchor_txid,
     entry_tx_hash,
@@ -233,6 +234,30 @@ def test_a_block_edited_to_the_same_content_is_broken(tmp_path, edit):
         assert verdict.kind == ("verified" if n < 4 else "tamper_detected")
 
 
+def test_a_reader_answers_like_the_ledger_and_writes_nothing(tmp_path):
+    ledger = make_ledger(tmp_path, max_block_entries=4)
+    for n in range(10):
+        ledger.submit(txid_of(n))
+    ledger.seal_pending()
+    ledger.seal_pending()
+    # Crash mid-submit: two txids stay queued behind a torn line.
+    with (tmp_path / "pending.json").open("ab") as handle:
+        handle.write(txid_of(10)[:30].encode())
+    files = {name: (tmp_path / name).read_bytes() for name in ("ledger.json", "pending.json")}
+    reader = LedgerReader(str(tmp_path / "ledger.json"), str(tmp_path / "pending.json"))
+    owner = make_ledger(tmp_path, max_block_entries=4)
+    assert len(reader.blocks) == 2 and reader.pending == (txid_of(8), txid_of(9))
+    assert reader.blocks == owner.blocks and reader.pending == owner.pending
+    assert reader.verify_chain() == owner.verify_chain() == (True, None)
+    for n in range(12):
+        assert reader.status(txid_of(n)) == owner.status(txid_of(n))
+        assert reader.lookup(txid_of(n)) == owner.lookup(txid_of(n))
+    assert {name: (tmp_path / name).read_bytes() for name in files} == files
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ledger.json", "pending.json"]
+    for name in ("submit", "seal_pending", "close", "__enter__"):
+        assert not hasattr(reader, name)
+
+
 def test_verdicts_match_in_an_interpreter_without_numpy_or_yaml(tmp_path):
     """Verification runs on the standard library alone and says the same."""
     events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
@@ -260,15 +285,17 @@ def test_verdicts_match_in_an_interpreter_without_numpy_or_yaml(tmp_path):
     program = """
 import json, sys
 sys.modules["numpy"] = sys.modules["yaml"] = None
-from affectfuse.audit.ledger import SimulatedLedger, verify_anchorage
-verdicts = {}
+from affectfuse.audit.ledger import LedgerReader, SimulatedLedger, verify_anchorage
+verdicts = {"SimulatedLedger": {}, "LedgerReader": {}}
 for name, (directory, event, txid) in json.loads(sys.argv[1]).items():
-    ledger = SimulatedLedger(directory + "/ledger.json", directory + "/pending.json")
-    verdicts[name] = verify_anchorage(bytes.fromhex(event), txid, ledger).as_dict()
+    for kind in (SimulatedLedger, LedgerReader):
+        ledger = kind(directory + "/ledger.json", directory + "/pending.json")
+        verdicts[kind.__name__][name] = verify_anchorage(bytes.fromhex(event), txid, ledger).as_dict()
 print(json.dumps(verdicts))
 """
     arg = {name: (str(d), event.hex(), txid) for name, (d, event, txid) in cases.items()}
-    assert json.loads(run_python(program, json.dumps(arg))) == in_process
+    verdicts = json.loads(run_python(program, json.dumps(arg)))
+    assert verdicts == {"SimulatedLedger": in_process, "LedgerReader": in_process}
     assert {name: v["verdict"] for name, v in in_process.items()} == {
         "intact": "verified",
         "flipped_byte": "tamper_detected",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affectfuse import pipeline as pipeline_mod
-from affectfuse.audit import AuditWriteError, compute_txid, parse_canonical, read_event_line
+from affectfuse.audit import AuditWriteError, LedgerReader, compute_txid, parse_canonical, read_event_line
 from affectfuse.audit import artifacts as artifacts_mod
 from affectfuse.audit.artifacts import export_explainability_artifact
 from affectfuse.config import load_config
@@ -293,6 +293,28 @@ def test_anchoring_enabled_submits(tmp_path, wav_path, pinned_clock):
         record = pipeline.ledger.status(result.txid)
     assert record.status == "anchored"
     assert record.gas_used == 47000
+
+
+def test_every_anchoring_setting_reaches_the_ledger(tmp_path, wav_path, pinned_clock):
+    audit = tmp_path / "audit"
+    config = load_config(environ={
+        "APP__AUDIT__LOG_PATH": str(audit / "events.jsonl"),
+        "APP__ANCHORING__LEDGER_PATH": str(audit / "chain.jsonl"),
+        "APP__ANCHORING__PENDING_PATH": str(audit / "queue.txt"),
+        "APP__ANCHORING__SENDER": "acct-23",
+        "APP__ANCHORING__BLOCK_INTERVAL": "60",
+        "APP__ANCHORING__MAX_BLOCK_ENTRIES": "2",
+    })
+    pipeline = Pipeline(config, clock=pinned_clock)
+    assert pipeline.ledger.block_interval == 60.0
+    txids = [pipeline.run_turn(turn(wav_path)).txid for _ in range(5)]
+    pipeline.close()
+    ledger = LedgerReader(str(audit / "chain.jsonl"), str(audit / "queue.txt"))
+    assert len(set(txids)) == 5 and ledger.pending == ()
+    assert [entry.txid for block in ledger.blocks for entry in block.entries] == txids
+    assert all(len(block.entries) <= 2 for block in ledger.blocks)
+    assert {entry.sender for block in ledger.blocks for entry in block.entries} == {"acct-23"}
+    assert {block.timestamp for block in ledger.blocks} == {pinned_clock()}
 
 
 def test_artifacts_written_per_fuzzy_turn(tmp_path, wav_path, pinned_clock, outcomes):
