@@ -5,7 +5,8 @@ behind a local interface: submitted txids are queued, sealed into hash-chained
 blocks (every ``block_interval`` seconds or ``max_block_entries`` entries,
 whichever first), and can afterwards be verified from the block data alone by
 a :class:`LedgerReader`, which cannot write. Sealing runs in a background
-thread and never blocks or fails the response path.
+thread; a submit waits at most for one block append and, when that empties
+the queue, one cut of the pending file.
 """
 
 from __future__ import annotations
@@ -73,9 +74,6 @@ class BlockEntry:
     txid: str
     sender: str
     tx_hash: str
-
-    def as_dict(self) -> Dict[str, str]:
-        return {"txid": self.txid, "sender": self.sender, "tx_hash": self.tx_hash}
 
 
 @dataclass(frozen=True)
@@ -150,23 +148,14 @@ class LedgerReader:
         last_hash = GENESIS_HASH
         try:
             for line in self._block_journal.lines():
-                stored = json.loads(line)
-                entries = tuple(BlockEntry(e["txid"], e["sender"], e["tx_hash"]) for e in stored["entries"])
-                number, timestamp = int(stored["block_number"]), str(stored["timestamp"])
-                if number != len(self._blocks):
-                    raise ValueError(f"block {number} is stored at position {len(self._blocks)}")
-                previous, block_hash = str(stored["previous_block_hash"]), str(stored["block_hash"])
+                block = self._record_block(line)
                 if self._broken is None and not (
-                    previous == last_hash
-                    and _content_hash(line) == block_hash
-                    and line[:_CONTENT_AT] == b'%s%s",' % (_BLOCK_PREFIX, block_hash.encode("ascii"))
+                    block.previous_block_hash == last_hash
+                    and _content_hash(line) == block.block_hash
+                    and line[:_CONTENT_AT] == b'%s%s",' % (_BLOCK_PREFIX, block.block_hash.encode("ascii"))
                 ):
-                    self._broken = number
-                last_hash = block_hash
-                block = LedgerBlock(number, timestamp, entries, previous, block_hash)
-                self._blocks.append(block)
-                for entry in block.entries:
-                    self._anchored[entry.txid] = (block.block_number, entry.tx_hash, entry.sender)
+                    self._broken = block.block_number
+                last_hash = block.block_hash
         except (KeyError, TypeError, ValueError) as exc:
             raise AnchorError(f"corrupt ledger file {self.ledger_path}: {exc}") from exc
         try:
@@ -176,6 +165,21 @@ class LedgerReader:
                     self._pending[txid] = None
         except ValueError as exc:
             raise AnchorError(f"corrupt pending file {self.pending_path}: {exc}") from exc
+
+    def _record_block(self, line: bytes) -> LedgerBlock:
+        """Add one stored block line, without its ``\\n``, as the next block; its txids leave the queue."""
+        stored = json.loads(line)
+        number = int(stored["block_number"])
+        if number != len(self._blocks):
+            raise ValueError(f"block {number} is stored at position {len(self._blocks)}")
+        entries = tuple(BlockEntry(e["txid"], e["sender"], e["tx_hash"]) for e in stored["entries"])
+        previous, block_hash = str(stored["previous_block_hash"]), str(stored["block_hash"])
+        block = LedgerBlock(number, str(stored["timestamp"]), entries, previous, block_hash)
+        self._blocks.append(block)
+        for entry in entries:
+            self._anchored[entry.txid] = (number, entry.tx_hash, entry.sender)
+            self._pending.pop(entry.txid, None)
+        return block
 
     def status(self, txid: str) -> AnchorRecord:
         """Current record for a txid; never-submitted txids report "disabled"."""
@@ -231,8 +235,9 @@ class SimulatedLedger(LedgerReader):
     safe while sealing runs.
 
     Appending a txid or sealing a block costs the same however long the
-    ledger is: a seal appends one block line, then rewrites the pending txid
-    lines still queued. Opening does grow with history (see
+    ledger is: a seal appends one block line and cuts the pending journal
+    to zero bytes only if that empties the queue; until then the file keeps
+    sealed txids, which opening drops. Opening does grow with history (see
     :class:`LedgerReader`). One instance owns the pair of files: a write to
     a journal that another process has changed raises :class:`AnchorError`.
     """
@@ -278,31 +283,23 @@ class SimulatedLedger(LedgerReader):
         with self._lock:
             if not self._pending:
                 return None
-            batch = list(itertools.islice(self._pending, self.max_block_entries))
             block_number = len(self._blocks)
-            previous = self._blocks[-1].block_hash if self._blocks else GENESIS_HASH
-            timestamp = self._clock()
-            entries = tuple(
-                BlockEntry(txid, self.sender, entry_tx_hash(block_number, txid, self.sender, i))
-                for i, txid in enumerate(batch)
-            )
             content = canonicalize({
                 "block_number": block_number,
-                "timestamp": timestamp,
-                "entries": [entry.as_dict() for entry in entries],
-                "previous_block_hash": previous,
+                "timestamp": self._clock(),
+                "entries": [
+                    {"txid": txid, "sender": self.sender, "tx_hash": entry_tx_hash(block_number, txid, self.sender, i)}
+                    for i, txid in enumerate(itertools.islice(self._pending, self.max_block_entries))
+                ],
+                "previous_block_hash": self._blocks[-1].block_hash if self._blocks else GENESIS_HASH,
             })
             block_hash = hashlib.sha256(content).hexdigest()
             # "block_hash" sorts first, so this is the canonical block with its hash.
-            line = b'%s%s",%s\n' % (_BLOCK_PREFIX, block_hash.encode("ascii"), content[1:])
-            self._block_journal.append(line)
-            block = LedgerBlock(block_number, timestamp, entries, previous, block_hash)
-            self._blocks.append(block)
-            for entry in entries:
-                self._anchored[entry.txid] = (block_number, entry.tx_hash, entry.sender)
-                del self._pending[entry.txid]
-            queued = "".join(txid + "\n" for txid in self._pending).encode("ascii")
-            self._pending_journal.rewrite(queued)
+            line = b'%s%s",%s' % (_BLOCK_PREFIX, block_hash.encode("ascii"), content[1:])
+            self._block_journal.append(line + b"\n")
+            block = self._record_block(line)
+            if not self._pending:
+                self._pending_journal.truncate()
             return block
 
     def _seal_loop(self) -> None:
@@ -316,7 +313,7 @@ class SimulatedLedger(LedgerReader):
                 try:
                     self.seal_pending()
                 except (OSError, AnchorError):
-                    # The ledger changes only after the block is appended, so the batch stays queued.
+                    # A failed append leaves the batch queued; a failed cut leaves lines the open drops.
                     log.warning("sealing into %s failed; retrying", self.ledger_path, exc_info=True)
                     self._stop.wait(self.block_interval)
                 last_seal = time.monotonic()

@@ -56,10 +56,11 @@ def _line_starts(fd: int, size: int) -> array:
 class Journal:
     """An append-only file of ``\\n``-terminated lines with a single writer.
 
-    A last line without its ``\\n`` is torn (a crash mid-append): reading
-    skips it and changes nothing. Before each write the file must still have
-    the size this instance last read or wrote, else ``error`` is raised. A
-    torn tail, or what reached the file of a failed append, is then moved to
+    The only other write, :meth:`truncate`, cuts it to zero bytes. A last
+    line without its ``\\n`` is torn (a crash mid-append): reading skips it
+    and changes nothing. Before each write the file must still have the size
+    this instance last read or wrote, else ``error`` is raised. A torn tail,
+    or what reached the file of a failed append, is then moved to
     ``<file>.torn`` as ``<byte offset> <bytes>\\n`` and cut off.
     """
 
@@ -125,17 +126,15 @@ class Journal:
             os.close(fd)
         self._end = self._size = self._end + len(data)
 
-    def rewrite(self, data: bytes) -> None:
-        """Replace the file's contents with ``data`` in one atomic rename."""
+    def truncate(self) -> None:
+        """Cut the file to zero bytes in place, after the checks every write runs."""
         fd = self.open()
         try:
             self._prepare_write(fd)
+            os.ftruncate(fd, 0)
         finally:
             os.close(fd)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(self.path)
-        self._end = self._size = len(data)
+        self._end = self._size = 0
 
 
 class AuditLog:

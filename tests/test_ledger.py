@@ -492,7 +492,7 @@ def test_torn_pending_line_is_dropped_and_cut(tmp_path):
     assert reopened.status(txid_of(3)).status == "disabled"
 
 
-def test_pending_rewrite_moves_a_torn_tail_and_refuses_a_second_writer(tmp_path):
+def test_pending_cut_moves_a_torn_tail_and_refuses_a_second_writer(tmp_path):
     pending_path = tmp_path / "pending.json"
     make_ledger(tmp_path).submit(txid_of(1))
     with pending_path.open("ab") as handle:  # a crash mid-submit
@@ -506,6 +506,30 @@ def test_pending_rewrite_moves_a_torn_tail_and_refuses_a_second_writer(tmp_path)
     with pytest.raises(AnchorError, match="pending.json"):
         ledger.seal_pending()
     assert pending_path.read_bytes() == (txid_of(3) + "\n" + txid_of(4) + "\n").encode()
+
+
+def test_a_seal_leaves_the_pending_file_alone_until_the_queue_is_empty(tmp_path):
+    pending_path, tmp_file = tmp_path / "pending.json", tmp_path / "pending.json.tmp"
+    ledger = make_ledger(tmp_path, max_block_entries=2)
+    for n in (1, 2, 3):
+        ledger.submit(txid_of(n))
+    queued, inode = pending_path.read_bytes(), pending_path.stat().st_ino
+    renamed = AssertionError("a seal renamed a file")
+    with mock.patch("os.replace", side_effect=renamed), mock.patch("os.rename", side_effect=renamed):
+        block = ledger.seal_pending()
+    assert [entry.txid for entry in block.entries] == [txid_of(1), txid_of(2)]
+    assert pending_path.read_bytes() == queued and pending_path.stat().st_ino == inode
+    assert not tmp_file.exists()
+    reader = LedgerReader(str(tmp_path / "ledger.json"), str(pending_path))
+    assert reader.pending == (txid_of(3),)
+    assert ledger.pending == (txid_of(3),)
+    with mock.patch("os.replace", side_effect=renamed), mock.patch("os.rename", side_effect=renamed):
+        ledger.seal_pending()
+    assert pending_path.read_bytes() == b"" and pending_path.stat().st_ino == inode
+    assert not tmp_file.exists()
+    assert ledger.seal_pending() is None
+    ledger.submit(txid_of(4))
+    assert pending_path.read_bytes() == (txid_of(4) + "\n").encode()
 
 
 def test_append_that_fails_part_way_is_cut_back(tmp_path):
@@ -650,8 +674,8 @@ def test_crash_restart_anchors_every_submitted_txid_once(steps, max_block_entrie
                 ledger.seal_pending()
             else:  # crash: drop the instance without close(), then restart
                 if kind in ("mid_seal", "torn_block") and ledger.pending:
-                    # The block line is appended, then the pending rewrite crashes.
-                    with mock.patch.object(ledger_mod.Journal, "rewrite", side_effect=_Crash):
+                    # The block line is appended, then the seal crashes before recording it.
+                    with mock.patch.object(ledger_mod.LedgerReader, "_record_block", side_effect=_Crash):
                         with pytest.raises(_Crash):
                             ledger.seal_pending()
                     if kind == "torn_block":  # and the block append itself was cut short
