@@ -82,7 +82,7 @@ class NaNAudio(ValueError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio with samples clamped to [-1, 1]; NaN is rejected.
+    """Mono audio clamped to [-1, 1], NaN rejected; an in-range float64 array is held as given.
 
     The rate is TARGET_SAMPLE_RATE (16 kHz) by definition: ``load_wav``
     resamples every file to it, and nothing here reads another rate.
@@ -94,9 +94,11 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise EmptyAudio("audio buffer must be a non-empty 1-D array")
-        samples = np.clip(samples, -1.0, 1.0)
-        if math.isnan(samples.min()):  # min propagates NaN
+        low, high = samples.min(), samples.max()
+        if math.isnan(low):  # min propagates NaN
             raise NaNAudio("audio buffer contains NaN samples")
+        if low < -1.0 or high > 1.0:
+            samples = np.clip(samples, -1.0, 1.0)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:

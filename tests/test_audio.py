@@ -56,6 +56,29 @@ def test_infinite_samples_clamp():
     assert buf.samples.tolist() == [1.0, -1.0, 0.5]
 
 
+def test_pcm_decode_never_clips_and_out_of_range_samples_still_clamp(tmp_path):
+    """Decoded PCM is always in [-1, 1], so only an out-of-range array is copied through np.clip."""
+    import wave
+    from unittest import mock
+
+    pcm = np.array([-32768, -1, 0, 1, 32767] * 1000, dtype="<i2")
+    path = tmp_path / "full_scale.wav"
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(16000)
+        handle.writeframes(pcm.tobytes())
+    with mock.patch.object(np, "clip", wraps=np.clip) as clip:
+        buf = load_wav(str(path))
+        assert clip.call_count == 0
+        assert (buf.samples.min(), buf.samples.max()) == (-1.0, 32767 / 32768)
+        clamped = AudioBuffer(samples=np.array([1.5, -np.inf, 0.25]))
+        assert clip.call_count == 1
+    assert clamped.samples.tolist() == [1.0, -1.0, 0.25]
+    with pytest.raises(NaNAudio):
+        AudioBuffer(samples=np.array([0.5, np.nan, 2.0]))
+
+
 def test_silence_features():
     feats = extract_acoustic_features(silence())
     assert feats.rms_norm == 0.0

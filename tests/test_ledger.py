@@ -258,6 +258,55 @@ def test_a_reader_answers_like_the_ledger_and_writes_nothing(tmp_path):
         assert not hasattr(reader, name)
 
 
+def test_a_seal_parses_no_json_and_an_open_parses_each_block_line_once(tmp_path):
+    owner = make_ledger(tmp_path, max_block_entries=4)
+    for n in range(10):
+        owner.submit(txid_of(n))
+    with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+        while owner.seal_pending() is not None:
+            pass
+    assert loads.call_count == 0
+    stored = [line.rstrip(b"\n") for line in ledger_lines(tmp_path)]
+    with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+        reader = LedgerReader(str(tmp_path / "ledger.json"), str(tmp_path / "pending.json"))
+    assert [call.args[0] for call in loads.call_args_list] == stored and len(stored) == 3
+    assert reader.blocks == owner.blocks
+    for n in range(11):
+        assert reader.status(txid_of(n)) == owner.status(txid_of(n))
+        assert reader.lookup(txid_of(n)) == owner.lookup(txid_of(n))
+
+
+def test_a_txid_repeated_in_a_later_block_reports_that_block(tmp_path):
+    repeated, other = txid_of(1), txid_of(2)
+    with make_ledger(tmp_path) as ledger:
+        ledger.submit(repeated)
+        ledger.submit(other)
+        first = ledger.seal_pending()
+    second_hash = entry_tx_hash(1, repeated, "sim-account-002", 0)
+    fields = {
+        "block_number": 1,
+        "timestamp": "2026-08-12T00:00:00+00:00",
+        "entries": [{"txid": repeated, "sender": "sim-account-002", "tx_hash": second_hash}],
+        "previous_block_hash": first.block_hash,
+    }
+    block_hash = hashlib.sha256(canonicalize(fields)).hexdigest()
+    with (tmp_path / "ledger.json").open("ab") as handle:
+        handle.write(canonicalize({"block_hash": block_hash, **fields}) + b"\n")
+    reader = LedgerReader(str(tmp_path / "ledger.json"), str(tmp_path / "pending.json"))
+    assert reader.verify_chain() == (True, None)
+    stored = [[(entry.txid, entry.sender, entry.tx_hash) for entry in block.entries] for block in reader.blocks]
+    assert stored == [
+        [(txid, "sim-account-001", entry_tx_hash(0, txid, "sim-account-001", i)) for i, txid in enumerate([repeated, other])],
+        [(repeated, "sim-account-002", second_hash)],
+    ]
+    record = reader.status(repeated)
+    assert (record.status, record.block_number, record.tx_hash, record.sender) == (
+        "anchored", 1, second_hash, "sim-account-002"
+    )
+    assert reader.lookup(repeated) == (1, second_hash, "sim-account-002", None)
+    assert reader.lookup(other) == (0, entry_tx_hash(0, other, "sim-account-001", 1), "sim-account-001", None)
+
+
 def test_verdicts_match_in_an_interpreter_without_numpy_or_yaml(tmp_path):
     """Verification runs on the standard library alone and says the same."""
     events = [canonicalize({"case": "chain", "n": n}) for n in range(10)]
